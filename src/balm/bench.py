@@ -26,6 +26,7 @@ from .problems import (
     Sense,
     SeparableProblem,
     flatten_blocks,
+    kkt_residual,
     total_objective,
 )
 from .prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, WholeSpace, Zero
@@ -42,7 +43,6 @@ from .solvers import (
     run,
     split_metric,
 )
-from .problems import kkt_residual
 
 SCHEMA_VERSION = "1"
 GENERATOR_KINDS = ("random_qp_eq", "basis_pursuit", "lasso_eq", "nonneg_qp_ineq")
@@ -155,9 +155,10 @@ def ineq_qp_reference(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
     definite, A full row rank).
 
     Reduces to the dual linear complementarity problem in lam with
-    matrix A P^-1 A^T, solves it by projected Gauss-Seidel at a tight
-    tolerance, then polishes by re-solving the equality KKT system on
-    the identified active set.
+    matrix A P^-1 A^T, solves it with solve_lcp at a tight tolerance
+    (active-set Newton steps from lam = 0, projected Gauss-Seidel if
+    they do not certify), then polishes by re-solving the equality KKT
+    system on the identified active set.
     """
     n, m = p.shape[0], a.shape[0]
     p_factor = cholesky_factor(p)

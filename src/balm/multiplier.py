@@ -1,8 +1,12 @@
-"""Multiplier-update systems: SPD solves and a projected Gauss-Seidel LCP.
+"""Multiplier-update systems: SPD solves and a certified LCP solve.
 
 The dual metric is a shifted Gram matrix of the constraint rows; it is
 positive definite for any shift delta > 0, so one Cholesky factor per
-run covers every iteration.
+run covers every iteration.  Inequality constraints turn the multiplier
+update into a small LCP in that metric: a primal-dual active-set
+(semismooth Newton) phase, warm-started on the support of the previous
+multiplier, usually settles it in one free-block Cholesky solve; projected
+Gauss-Seidel takes over whenever that phase does not certify.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NoConvergence
 from .linalg import SpdFactor, cholesky_factor, solve_spd
@@ -82,6 +87,34 @@ def solve_equality(sys: MultiplierSystem, lam_k: np.ndarray, s_k: np.ndarray) ->
     return lam_k - solve_spd(sys.factor, s_k)
 
 
+def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: int):
+    """Primal-dual active-set steps on 0 <= lam  perp  H lam + c >= 0,
+    c = s_k - H lam_k, starting from the free set {lam_k > 0}.
+
+    Each step zeroes lam off the free set F, solves H_FF lam_F = -c_F
+    and moves to F' = {lam - y > 0} with y = H lam + c.  Returns the
+    clipped lam once F' repeats F, or None when it did not within
+    max_steps or the free block would not factor, together with the
+    number of steps taken.
+    """
+    c = s_k - h @ lam_k
+    free = lam_k > 0.0
+    for step in range(1, max_steps + 1):
+        lam = np.zeros_like(c)
+        if free.any():
+            try:
+                factor = cho_factor(h[np.ix_(free, free)], lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                return None, step
+            lam[free] = cho_solve(factor, -c[free], check_finite=False)
+        y = h @ lam + c
+        new_free = lam - y > 0.0
+        if np.array_equal(new_free, free):
+            return np.maximum(lam, 0.0), step
+        free = new_free
+    return None, max_steps
+
+
 def solve_lcp(
     sys: MultiplierSystem,
     lam_k: np.ndarray,
@@ -89,24 +122,37 @@ def solve_lcp(
     tol: float = LCP_TOL,
     max_sweeps: int = LCP_SWEEP_CAP,
 ) -> np.ndarray:
-    """Solve 0 <= lam  perp  H (lam - lam_k) + s_k >= 0 by projected Gauss-Seidel.
+    """Solve 0 <= lam  perp  H (lam - lam_k) + s_k >= 0.
 
-    Sweeps coordinates in ascending order, warm-started at lam_k, until
-    the complementarity certificate holds: y >= -tol componentwise and
-    |lam . y| <= tol * (1 + ||s_k||).
+    A result is returned only once the complementarity certificate
+    holds: y >= -tol componentwise and |lam . y| <= tol * (1 + ||s_k||).
+    First up to m + 1 primal-dual active-set steps run, warm-started on
+    the support of lam_k, each a Cholesky solve on the free block.  If
+    the free set does not repeat, the block will not factor or the
+    result fails the certificate, projected Gauss-Seidel takes over from
+    max(lam_k, 0), sweeping coordinates in ascending order.  max_sweeps
+    caps active-set steps and Gauss-Seidel sweeps together.
     """
     s_k = np.asarray(s_k, dtype=float)
     if s_k.shape != (sys.m,):
         raise DimensionMismatch(f"s_k has shape {s_k.shape}, system dim is {sys.m}")
     h = sys.h
-    diag = np.diag(h)
-    lam = np.maximum(np.asarray(lam_k, dtype=float), 0.0)
+    lam_k = np.asarray(lam_k, dtype=float)
     comp_tol = tol * (1.0 + float(np.linalg.norm(s_k)))
-    for _ in range(max_sweeps):
+
+    def certified(lam):
+        y = h @ (lam - lam_k) + s_k
+        return float(np.min(y)) >= -tol and abs(float(lam @ y)) <= comp_tol
+
+    lam, steps = _active_set(h, lam_k, s_k, min(sys.m + 1, max_sweeps))
+    if lam is not None and certified(lam):
+        return lam
+    diag = np.diag(h)
+    lam = np.maximum(lam_k, 0.0)
+    for _ in range(max_sweeps - steps):
         for i in range(sys.m):
             y_i = h[i] @ (lam - lam_k) + s_k[i]
             lam[i] = max(0.0, lam[i] - y_i / diag[i])
-        y = h @ (lam - lam_k) + s_k
-        if float(np.min(y)) >= -tol and abs(float(lam @ y)) <= comp_tol:
+        if certified(lam):
             return lam
-    raise NoConvergence(f"projected Gauss-Seidel did not certify in {max_sweeps} sweeps")
+    raise NoConvergence(f"the LCP solve did not certify in {max_sweeps} steps and sweeps")

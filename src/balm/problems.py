@@ -7,6 +7,7 @@ equalities and in the nonnegative orthant for inequalities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -24,6 +25,7 @@ from .prox import (
     SeparableSum,
     WholeSpace,
     Zero,
+    coordinatewise,
     objective_value,
     project,
     prox_constrained,
@@ -170,7 +172,12 @@ class KktResidual:
     complementarity: float
 
     def max(self) -> float:
-        return max(self.primal, self.dual, self.complementarity)
+        """The largest component; nan if any component is nan, so a nan
+        residual is never within tolerance."""
+        parts = (self.primal, self.dual, self.complementarity)
+        if any(math.isnan(v) for v in parts):
+            return math.nan
+        return max(parts)
 
     def within(self, tol: float) -> bool:
         return self.max() <= tol
@@ -257,7 +264,7 @@ def flatten_blocks(prob: SeparableProblem) -> Problem:
     thetas = [blk.theta for blk in prob.blocks]
     if all(isinstance(t, (Quadratic, Linear, Zero)) for t in thetas):
         theta = _merge_quadratic(prob, thetas)
-    elif all(_coordinatewise(t) for t in thetas):
+    elif all(coordinatewise(t) for t in thetas):
         theta = SeparableSum(tuple(_scalar_parts(prob)))
     else:
         raise UnsupportedCombination("blocks do not merge into a supported objective")
@@ -277,14 +284,6 @@ def _merge_quadratic(prob, thetas):
             c[at : at + blk.n] = t.c
         at += blk.n
     return Quadratic(p, c)
-
-
-def _coordinatewise(theta) -> bool:
-    if isinstance(theta, (Zero, L1, Linear, SeparableSum)):
-        return True
-    if isinstance(theta, Quadratic):
-        return not np.any(theta.p - np.diag(np.diag(theta.p)))
-    return False
 
 
 def _scalar_parts(prob):

@@ -196,7 +196,7 @@ def prox_constrained(theta, x_set, r: float, q: np.ndarray) -> np.ndarray:
     if isinstance(x_set, WholeSpace):
         return prox(theta, r, q)
     if isinstance(x_set, (NonnegativeOrthant, Box)):
-        if not _separable(theta):
+        if not coordinatewise(theta):
             raise UnsupportedCombination(
                 f"{type(theta).__name__} over {type(x_set).__name__} has no exact rule"
             )
@@ -204,7 +204,8 @@ def prox_constrained(theta, x_set, r: float, q: np.ndarray) -> np.ndarray:
     raise UnsupportedCombination(f"unknown set spec {type(x_set).__name__}")
 
 
-def _separable(theta) -> bool:
+def coordinatewise(theta) -> bool:
+    """Whether theta splits into a sum of scalar terms, one per coordinate."""
     if isinstance(theta, (Zero, L1, Linear, SeparableSum)):
         return True
     if isinstance(theta, Quadratic):

@@ -24,9 +24,8 @@ from .errors import (
     InnerNoConvergence,
     UnsupportedCombination,
 )
-from .linalg import h_quadratic
+from .linalg import cholesky_factor, h_quadratic, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
-from .linalg import cholesky_factor, solve_spd
 from .problems import (
     PrimalDualPoint,
     Problem,
@@ -160,8 +159,11 @@ class RunHistory:
 def balanced_metric(a: np.ndarray, r: float, delta: float) -> np.ndarray:
     """The PPA metric [[r I, A^T], [A, (1/r) A A^T + delta I]]."""
     a = np.asarray(a, dtype=float)
+    return _balanced_metric(a, r, build_h0(a, r, delta).h)
+
+
+def _balanced_metric(a: np.ndarray, r: float, corner: np.ndarray) -> np.ndarray:
     n = a.shape[1]
-    corner = build_h0(a, r, delta).h
     return np.block([[r * np.eye(n), a.T], [a, corner]])
 
 
@@ -169,7 +171,10 @@ def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
     """Block-diagonal r_i I over the blocks, bordered by the A_i and the
     multi-block dual metric."""
     a_list = [np.asarray(a, dtype=float) for a in a_list]
-    corner = build_hp(list(zip(a_list, r_list)), delta).h
+    return _split_metric(a_list, r_list, build_hp(list(zip(a_list, r_list)), delta).h)
+
+
+def _split_metric(a_list: list, r_list, corner: np.ndarray) -> np.ndarray:
     rows = []
     for i, (a_i, r_i) in enumerate(zip(a_list, r_list)):
         n_i = a_i.shape[1]
@@ -188,10 +193,13 @@ def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: 
     own Gram regularization r A1^T A1 + delta I."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
+    return _alt_split_metric(a1, a2, r, s, delta, build_h2(a2, r, s, delta).h)
+
+
+def _alt_split_metric(a1, a2, r: float, s: float, delta: float, corner: np.ndarray) -> np.ndarray:
     n1, n2 = a1.shape[1], a2.shape[1]
     g1 = a1.T @ a1
     g1 = 0.5 * (g1 + g1.T)
-    corner = build_h2(a2, r, s, delta).h
     return np.block(
         [
             [r * g1 + delta * np.eye(n1), np.zeros((n1, n2)), a1.T],
@@ -444,7 +452,7 @@ def _driver(prob, cfg):
     if isinstance(cfg, BalancedAlmConfig):
         p = _single_block(prob)
         sys = build_h0(p.a, cfg.r, cfg.delta)
-        metric = balanced_metric(p.a, cfg.r, cfg.delta)
+        metric = _balanced_metric(p.a, cfg.r, sys.h)
         relaxed = cfg.alpha != 1.0
 
         def step(w):
@@ -458,13 +466,13 @@ def _driver(prob, cfg):
         if len(cfg.r_list) != len(prob.blocks):
             raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
         sys = build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta)
-        metric = split_metric([blk.a for blk in prob.blocks], cfg.r_list, cfg.delta)
+        metric = _split_metric([blk.a for blk in prob.blocks], cfg.r_list, sys.h)
         return prob, (lambda w: (split_balanced_step(prob, cfg, sys, w), None)), metric, False
     if isinstance(cfg, AltSplitConfig):
         if not isinstance(prob, SeparableProblem) or len(prob.blocks) != 2:
             raise ConfigInvalid("the alternative split needs exactly two blocks")
         sys = build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
-        metric = alt_split_metric(prob.blocks[0].a, prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
+        metric = _alt_split_metric(prob.blocks[0].a, prob.blocks[1].a, cfg.r, cfg.s, cfg.delta, sys.h)
         return prob, (lambda w: (alt_split_step(prob, cfg, sys, w), None)), metric, False
     if isinstance(cfg, BaselineConfig):
         if cfg.method in (Method.ADMM, Method.LINEARIZED_ADMM):

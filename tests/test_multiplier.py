@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balm.errors import DimensionMismatch, NoConvergence
-from balm.multiplier import build_h0, build_h2, build_hp, solve_equality, solve_lcp
+from balm.multiplier import _active_set, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 
 import support
 
@@ -177,3 +178,64 @@ def test_solve_lcp_sweep_cap():
     sys = build_h0(a, 1.0, 0.5)
     with pytest.raises(NoConvergence):
         solve_lcp(sys, np.zeros(2), np.array([-1.0, -1.0]), tol=0.0, max_sweeps=1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    m=st.integers(1, 6),
+    extra_cols=st.integers(0, 2),
+    log_shift=st.floats(-6.0, 0.0),
+    warm=st.sampled_from(["signed", "half-support", "nonpositive", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_lcp_matches_enumeration_property(m, extra_cols, log_shift, warm, seed):
+    """Random full-row-rank shifted-Gram systems with row scales 10^+-1,
+    shifts down to 1e-6 and warm starts that are signed, half zero,
+    nonpositive or zero."""
+    rng = np.random.default_rng(seed)
+    a = (10.0 ** rng.uniform(-1.0, 1.0, m))[:, None] * rng.standard_normal((m, m + extra_cols))
+    sys = build_h0(a, 1.0, 10.0**log_shift)
+    lam_k = {
+        "signed": rng.standard_normal(m),
+        "half-support": np.abs(rng.standard_normal(m)) * (rng.random(m) < 0.5),
+        "nonpositive": -np.abs(rng.standard_normal(m)) * (rng.random(m) < 0.5),
+        "zero": np.zeros(m),
+    }[warm]
+    s_k = rng.standard_normal(m)
+    lam = solve_lcp(sys, lam_k, s_k)
+    ref = support.lcp_enumeration_oracle(sys.h, lam_k, s_k)
+    assert np.max(np.abs(lam - ref)) <= 1e-7
+
+
+def _cycling_system():
+    """A seeded system on which active-set steps from the support of lam_k
+    cycle: none of 200 steps leaves the free set unchanged.  Found by
+    searching random shifted-Gram systems (m = 3..6, row scales 10^+-1,
+    shifts 1e-4..1, half of lam_k zero)."""
+    rng = np.random.default_rng(13596)
+    m = int(rng.integers(3, 7))
+    a = (10.0 ** rng.uniform(-1.0, 1.0, m))[:, None] * rng.standard_normal((m, m + 1))
+    sys = build_h0(a, 1.0, 10.0 ** rng.uniform(-4.0, 0.0))
+    lam_k = np.abs(rng.standard_normal(m)) * (rng.random(m) < 0.5)
+    return sys, lam_k, rng.standard_normal(m)
+
+
+def test_solve_lcp_falls_back_when_active_set_cycles():
+    sys, lam_k, s_k = _cycling_system()
+    lam, steps = _active_set(sys.h, lam_k, s_k, 200)
+    assert lam is None and steps == 200
+    out = solve_lcp(sys, lam_k, s_k)
+    ref = support.lcp_enumeration_oracle(sys.h, lam_k, s_k)
+    assert np.max(np.abs(out - ref)) <= 1e-7
+
+
+def test_solve_lcp_active_set_steps_count_against_cap():
+    sys, lam_k, s_k = _cycling_system()
+    # m + 1 active-set steps use the whole budget, leaving no sweep
+    with pytest.raises(NoConvergence):
+        solve_lcp(sys, lam_k, s_k, max_sweeps=sys.m + 1)
+
+
+def test_active_set_gives_up_when_free_block_will_not_factor():
+    lam, steps = _active_set(np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), 2)
+    assert lam is None and steps == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,11 @@ def test_kkt_residual_type():
     r = KktResidual(primal=1.0, dual=2.0, complementarity=0.5)
     assert r.max() == 2.0
     assert not r.within(1.0)
+
+
+def test_kkt_residual_nan_is_never_within():
+    for parts in ((1e-12, math.nan, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, math.nan)):
+        r = KktResidual(*parts)
+        assert math.isnan(r.max())
+        assert not r.within(1e-8)
+        assert not r.within(math.inf)

@@ -422,6 +422,32 @@ def test_run_split_single_block_bitwise_matches_balanced():
     assert h_split.successive_h_steps[1:] == h_bal.successive_h_steps[1:]
 
 
+def test_run_builds_one_dual_system_and_the_exported_metric(monkeypatch):
+    import balm.multiplier as multiplier
+
+    factored = []
+    original = multiplier.cholesky_factor
+
+    def counting_factor(m):
+        factored.append(m)
+        return original(m)
+
+    monkeypatch.setattr(multiplier, "cholesky_factor", counting_factor)
+    rng = np.random.default_rng(35)
+    sep, _ = support.two_block_qp(rng, 3, 2, 2)
+    a1, a2 = (blk.a for blk in sep.blocks)
+    cases = [
+        (BalancedAlmConfig(1.1, 0.2), balanced_metric(np.hstack([a1, a2]), 1.1, 0.2)),
+        (SplitConfig((1.1, 0.7), 0.2), split_metric([a1, a2], (1.1, 0.7), 0.2)),
+        (AltSplitConfig(1.1, 0.7, 0.2), alt_split_metric(a1, a2, 1.1, 0.7, 0.2)),
+    ]
+    for cfg, expected in cases:
+        factored.clear()
+        hist = run(sep, cfg, StopRule(3, 1e-12))
+        assert len(factored) == 1, type(cfg).__name__
+        assert np.array_equal(hist.metric, expected), type(cfg).__name__
+
+
 def test_run_balanced_flattens_separable():
     rng = np.random.default_rng(34)
     sep, star = support.two_block_qp(rng, 3, 2, 2)
