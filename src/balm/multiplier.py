@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NoConvergence
 from .linalg import SpdFactor, cholesky_factor, solve_spd
@@ -96,17 +96,25 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
     clipped lam once F' repeats F, or None when it did not within
     max_steps or the free block would not factor, together with the
     number of steps taken.
+
+    The free block goes straight to LAPACK's Cholesky factor and solve
+    (dpotrf, dpotrs) with the arguments scipy.linalg.cho_factor and
+    cho_solve would pass, so the steps match that route bit for bit;
+    dpotrf's info > 0 (a leading minor not positive definite) is the
+    give-up that cho_factor reports as LinAlgError.
     """
     c = s_k - h @ lam_k
     free = lam_k > 0.0
     for step in range(1, max_steps + 1):
         lam = np.zeros_like(c)
         if free.any():
-            try:
-                factor = cho_factor(h[np.ix_(free, free)], lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
+            factor, info = dpotrf(h[np.ix_(free, free)], lower=1, clean=0)
+            if info > 0:
                 return None, step
-            lam[free] = cho_solve(factor, -c[free], check_finite=False)
+            lam_free, solve_info = dpotrs(factor, -c[free], lower=1)
+            if info or solve_info:
+                raise ValueError(f"illegal LAPACK argument (dpotrf info {info}, dpotrs info {solve_info})")
+            lam[free] = lam_free
         y = h @ lam + c
         new_free = lam - y > 0.0
         if np.array_equal(new_free, free):

@@ -507,6 +507,8 @@ def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
         raise DimensionMismatch(
             f"start point has shapes {w0.x.shape}/{w0.lam.shape}, expected ({prob.n},)/({prob.m},)"
         )
+    if not (np.all(np.isfinite(w0.x)) and np.all(np.isfinite(w0.lam))):
+        raise ValueError("start point must be finite")
     if prob.sense is Sense.INEQUALITY and not np.all(w0.lam >= 0):
         raise ValueError("inequality multipliers must start nonnegative")
     sets = (
@@ -526,7 +528,11 @@ def _h_norm(metric: np.ndarray, v: np.ndarray) -> float:
 
 def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference: PrimalDualPoint | None = None) -> RunHistory:
     """Iterate until every KKT residual falls below stop.kkt_tol or
-    stop.max_iters steps are taken.  Records the full trajectory."""
+    stop.max_iters steps are taken.  Records the full trajectory.
+
+    A non-finite KKT residual ends the run at that iterate, unconverged,
+    instead of stepping on to stop.max_iters.
+    """
     prob, step, metric, relaxed = _driver(prob, cfg)
     w = default_start(prob) if w0 is None else _check_start(prob, w0)
     ref_arr = reference.as_array() if reference is not None else None
@@ -538,7 +544,7 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     predictors = [] if relaxed else None
 
     converged = residuals[0].within(stop.kkt_tol)
-    while not converged and len(iterates) <= stop.max_iters:
+    while not converged and math.isfinite(residuals[-1].max()) and len(iterates) <= stop.max_iters:
         w_next, pred = step(w)
         iterates.append(w_next)
         residuals.append(kkt_residual(prob, w_next))

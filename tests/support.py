@@ -2,7 +2,10 @@
 
 The oracles here deliberately avoid the library's own closed forms:
 scalar minimization goes through grid search plus golden-section
-refinement, and LCPs are solved by enumerating active sets.
+refinement, and LCPs are solved by enumerating active sets.  The
+reference paths at the end are the library's kernels written the
+straightforward way (a per-part loop, scipy's solve wrappers); the fast
+kernels must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from balm import (
     Block,
@@ -22,6 +26,8 @@ from balm import (
     WholeSpace,
 )
 from balm.bench import ineq_qp_reference
+from balm.linalg import SpdFactor
+from balm.prox import objective_value, prox
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -132,3 +138,44 @@ def two_block_qp(rng, n1: int, n2: int, m: int):
 def scalar_problem() -> Problem:
     """min x^2/2 subject to x = 1; saddle point (1, 1)."""
     return Problem(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1), np.ones(1), Sense.EQUALITY)
+
+
+def separable_prox_loop(theta, r: float, q: np.ndarray) -> np.ndarray:
+    """SeparableSum prox one coordinate at a time, through each part's
+    own prox rule."""
+    out = np.empty_like(q)
+    for i, part in enumerate(theta.parts):
+        out[i : i + 1] = prox(part, r, q[i : i + 1])
+    return out
+
+
+def separable_objective_loop(theta, x: np.ndarray) -> float:
+    """SeparableSum value as the sum, in part order, of each part's value."""
+    return float(sum(objective_value(p, x[i : i + 1]) for i, p in enumerate(theta.parts)))
+
+
+def solve_spd_scipy(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
+    """M y = rhs from M's Cholesky factor through scipy's triangular solves."""
+    y = solve_triangular(factor.lower, rhs, lower=True, check_finite=False)
+    return solve_triangular(factor.lower.T, y, lower=False, check_finite=False)
+
+
+def active_set_scipy(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: int):
+    """multiplier._active_set with the free block factored and solved by
+    scipy's cho_factor and cho_solve."""
+    c = s_k - h @ lam_k
+    free = lam_k > 0.0
+    for step in range(1, max_steps + 1):
+        lam = np.zeros_like(c)
+        if free.any():
+            try:
+                factor = cho_factor(h[np.ix_(free, free)], lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                return None, step
+            lam[free] = cho_solve(factor, -c[free], check_finite=False)
+        y = h @ lam + c
+        new_free = lam - y > 0.0
+        if np.array_equal(new_free, free):
+            return np.maximum(lam, 0.0), step
+        free = new_free
+    return None, max_steps

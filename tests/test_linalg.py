@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balm.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
-from balm.linalg import cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
+from balm.linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
+
+import support
 
 
 def test_cholesky_identity():
@@ -147,3 +150,26 @@ def test_h_quadratic_positive_on_spd():
 def test_h_quadratic_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         h_quadratic(np.eye(2), np.ones(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"), log_scale=st.floats(-8.0, 8.0))
+def test_solve_spd_matches_scipy_triangular_solves_bit_for_bit(n, seed, order, log_scale):
+    rng = np.random.default_rng(seed)
+    lower = cholesky_factor(support.random_spd(rng, n)).lower
+    factor = SpdFactor(dim=n, lower=np.asarray(lower, order=order))
+    rhs = rng.standard_normal(n) * 10.0**log_scale
+    before = rhs.copy()
+    out = solve_spd(factor, rhs)
+    expected = support.solve_spd_scipy(factor, rhs)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+    assert np.array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_spd_rejects_a_singular_factor(order):
+    factor = SpdFactor(dim=2, lower=np.asarray([[1.0, 0.0], [2.0, 0.0]], order=order))
+    with pytest.raises(np.linalg.LinAlgError):
+        support.solve_spd_scipy(factor, np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd(factor, np.ones(2))

@@ -239,3 +239,28 @@ def test_solve_lcp_active_set_steps_count_against_cap():
 def test_active_set_gives_up_when_free_block_will_not_factor():
     lam, steps = _active_set(np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), 2)
     assert lam is None and steps == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    m=st.integers(1, 40),
+    extra_cols=st.integers(-2, 2),
+    log_shift=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gram", "indefinite"]),
+)
+def test_active_set_matches_cho_factor_route_bit_for_bit(m, extra_cols, log_shift, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "gram":
+        h = build_h0(rng.standard_normal((m, max(m + extra_cols, 1))), 1.0, 10.0**log_shift).h
+    else:
+        g = rng.standard_normal((m, m))
+        h = 0.5 * (g + g.T)
+    lam_k = np.abs(rng.standard_normal(m)) * (rng.random(m) < 0.5)
+    s_k = rng.standard_normal(m)
+    lam, steps = _active_set(h, lam_k, s_k, m + 1)
+    ref, ref_steps = support.active_set_scipy(h, lam_k, s_k, m + 1)
+    assert steps == ref_steps
+    assert (lam is None) == (ref is None)
+    if lam is not None:
+        assert lam.tobytes() == ref.tobytes()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balm.errors import DimensionMismatch, NotPositiveDefinite, UnsupportedCombination, UnsupportedObjective
 from balm.prox import (
@@ -19,6 +20,8 @@ from balm.prox import (
     prox,
     prox_constrained,
 )
+
+import support
 
 
 def test_prox_zero_is_identity():
@@ -207,3 +210,70 @@ def test_quadratic_rejects_bad_dims():
 def test_box_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_COEF = st.floats(-1e3, 1e3, allow_nan=False)
+_PART = {
+    "zero": st.just(Zero()),
+    "l1": st.builds(L1, st.floats(0.0, 1e3)),
+    "linear": st.builds(lambda c: Linear(np.array([c])), _COEF),
+    "quadratic": st.builds(lambda p, c: Quadratic(np.array([[p]]), np.array([c])), st.floats(0.0, 1e3), _COEF),
+}
+
+
+@st.composite
+def _separable_cases(draw):
+    """A SeparableSum over a random subset of the part kinds (the others
+    empty), a set, a prox weight in [1e-8, 1e8] and a point."""
+    kinds = sorted(draw(st.sets(st.sampled_from(sorted(_PART)), min_size=1)))
+    n = draw(st.integers(1, 12))
+    theta = SeparableSum(tuple(draw(_PART[draw(st.sampled_from(kinds))]) for _ in range(n)))
+    r = 10.0 ** draw(st.floats(-8.0, 8.0))
+    q = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["whole", "orthant", "box"]))
+    if kind == "whole":
+        x_set = WholeSpace()
+    elif kind == "orthant":
+        x_set = NonnegativeOrthant()
+    else:
+        lower = np.array(draw(st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(-np.inf)), min_size=n, max_size=n)))
+        width = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1e3), st.just(np.inf)), min_size=n, max_size=n)))
+        x_set = Box(lower, np.where(np.isinf(lower), 0.0, lower) + width)
+    return theta, x_set, r, q
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_separable_cases())
+def test_separable_sum_matches_per_part_loop_bit_for_bit(case):
+    theta, x_set, r, q = case
+    expected = support.separable_prox_loop(theta, r, q)
+    assert _same_bits(prox(theta, r, q), expected)
+    assert _same_bits(prox_constrained(theta, x_set, r, q), project(x_set, expected))
+    assert objective_value(theta, q) == support.separable_objective_loop(theta, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(p=st.floats(-9e-11, 1e-13), r=st.floats(1e-16, 1e-10))
+def test_separable_quadratic_pivot_raises_exactly_when_its_factor_would(p, r):
+    theta = SeparableSum((L1(1.0), Quadratic(np.array([[p]]), np.array([0.5])), Zero()))
+    q = np.array([2.0, -1.0, 3.0])
+    try:
+        expected = support.separable_prox_loop(theta, r, q)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            prox(theta, r, q)
+    else:
+        assert _same_bits(prox(theta, r, q), expected)
+
+
+def test_separable_quadratic_pivot_at_threshold_raises():
+    # p + r equal to the pivot threshold is rejected, as the 1x1 factor rejects it
+    theta = SeparableSum((Zero(), Quadratic(np.zeros((1, 1)), np.zeros(1))))
+    with pytest.raises(NotPositiveDefinite):
+        support.separable_prox_loop(theta, 1e-14, np.ones(2))
+    with pytest.raises(NotPositiveDefinite):
+        prox(theta, 1e-14, np.ones(2))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from balm.errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, Un
 from balm.linalg import cholesky_factor
 from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense, default_start, flatten_blocks, kkt_residual
-from balm.prox import Box, L1, NonnegativeOrthant, Quadratic, WholeSpace, Zero
+from balm.prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, WholeSpace, Zero
 from balm.solvers import (
     AltSplitConfig,
     BalancedAlmConfig,
@@ -590,3 +592,29 @@ def test_run_history_is_runhistory():
     assert isinstance(hist, RunHistory)
     assert len(hist.residuals) == len(hist)
     assert len(hist.successive_h_steps) == len(hist)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_rejects_a_non_finite_start(bad):
+    prob = support.scalar_problem()
+    cfg = BalancedAlmConfig(1.0, 0.01)
+    for w0 in (PrimalDualPoint(np.array([bad]), np.zeros(1)), PrimalDualPoint(np.zeros(1), np.array([bad]))):
+        with pytest.raises(ValueError, match="finite"):
+            run(prob, cfg, StopRule(max_iters=10, kkt_tol=1e-8), w0=w0)
+
+
+def test_run_stops_at_the_first_non_finite_residual():
+    # the start is finite, but c / r overflows in the first prox step
+    prob = Problem(Linear(np.array([1e150])), WholeSpace(), np.eye(1), np.ones(1), Sense.EQUALITY)
+    with np.errstate(all="ignore"):
+        hist = run(prob, BalancedAlmConfig(1e-160, 0.01), StopRule(max_iters=5000, kkt_tol=1e-8))
+    assert len(hist.iterates) == 2 and not hist.converged
+    assert math.isfinite(hist.residuals[0].max())
+    assert not math.isfinite(hist.residuals[1].max())
+
+
+def test_run_takes_no_step_from_a_non_finite_start_residual():
+    prob = Problem(Linear(np.array([np.inf])), WholeSpace(), np.eye(1), np.ones(1), Sense.EQUALITY)
+    with np.errstate(all="ignore"):
+        hist = run(prob, BalancedAlmConfig(1.0, 0.01), StopRule(max_iters=5000, kkt_tol=1e-8))
+    assert len(hist.iterates) == 1 and not hist.converged
