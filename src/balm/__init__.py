@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedObjective,
 )
-from .linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
+from .linalg import Metric, SpdFactor, cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
 from .prox import (
     Box,
     L1,
@@ -46,8 +46,11 @@ from .problems import (
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .solvers import (
     AltSplitConfig,
+    AltSplitMetric,
     BalancedAlmConfig,
+    BalancedMetric,
     BaselineConfig,
+    IdentityMetric,
     Method,
     RunHistory,
     SplitConfig,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BalmError, ConfigInvalid, InvalidDims, SchemaError
-from .linalg import cholesky_factor, solve_spd
+from .linalg import Metric, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, solve_lcp
 from .problems import (
     Block,
@@ -32,16 +32,16 @@ from .problems import (
 from .prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, WholeSpace, Zero
 from .solvers import (
     AltSplitConfig,
+    AltSplitMetric,
     BalancedAlmConfig,
+    BalancedMetric,
     BaselineConfig,
+    IdentityMetric,
     Method,
     RunHistory,
     SplitConfig,
     StopRule,
-    alt_split_metric,
-    balanced_metric,
     run,
-    split_metric,
 )
 
 SCHEMA_VERSION = "1"
@@ -415,19 +415,16 @@ def read_history_table(path: str):
     return meta, cols
 
 
-def metric_for(method: str, params: dict, prob) -> np.ndarray:
+def metric_for(method: str, params: dict, prob) -> Metric:
     """Rebuild the metric a run used, from its recorded parameters."""
     if method == "balanced-alm":
         p = flatten_blocks(prob) if isinstance(prob, SeparableProblem) else prob
-        return balanced_metric(p.a, params["r"], params["delta"])
+        return BalancedMetric([p.a], [params["r"]], params["delta"])
     if method == "split-balanced":
-        return split_metric([blk.a for blk in prob.blocks], params["r_list"], params["delta"])
+        return BalancedMetric([blk.a for blk in prob.blocks], params["r_list"], params["delta"])
     if method == "alt-split":
-        return alt_split_metric(
-            prob.blocks[0].a, prob.blocks[1].a, params["r"], params["s"], params["delta"]
-        )
-    n = prob.n if not isinstance(prob, SeparableProblem) else sum(b.n for b in prob.blocks)
-    return np.eye(n + prob.m)
+        return AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, params["r"], params["s"], params["delta"])
+    return IdentityMetric(prob.n, prob.m)
 
 
 def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:

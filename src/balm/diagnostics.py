@@ -1,8 +1,8 @@
 """Run certificates: per-iteration contraction and ergodic gap bounds.
 
-Both certificates are recomputed from recorded iterates and an explicit
-metric matrix, so they can replay a finished run without touching the
-solver.
+Both certificates are recomputed from recorded iterates and the run's
+metric, an operator (linalg.Metric) or an explicit matrix, so they can
+replay a finished run without touching the solver.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def ergodic_average(history, t: int) -> PrimalDualPoint:
     return PrimalDualPoint(xs, lams)
 
 
-def contraction_ledger(history, h: np.ndarray, w_star: PrimalDualPoint, alpha: float = 1.0) -> list:
+def contraction_ledger(history, h, w_star: PrimalDualPoint, alpha: float = 1.0) -> list:
     """Per-iteration certificates of H-distance descent toward w_star.
 
     For relaxed runs (alpha != 1) the step term is the predictor gap
@@ -85,23 +85,20 @@ def contraction_ledger(history, h: np.ndarray, w_star: PrimalDualPoint, alpha: f
         raise InsufficientHistory("relaxed contraction checks need recorded predictors")
     scale = alpha * (2.0 - alpha)
     ref = w_star.as_array()
+    points = history.iterates
+    # each iterate's distance is dist_after of one step and dist_before of the next
+    dist = [h_quadratic(h, w.as_array() - ref) for w in points] if len(points) > 1 else []
     certs = []
-    for k in range(len(history.iterates) - 1):
-        w_k = history.iterates[k].as_array()
-        w_next = history.iterates[k + 1].as_array()
-        before = h_quadratic(h, w_k - ref)
-        after = h_quadratic(h, w_next - ref)
-        if alpha == 1.0:
-            step = h_quadratic(h, w_k - w_next)
-        else:
-            step = h_quadratic(h, w_k - history.predictors[k].as_array())
+    for k in range(len(points) - 1):
+        target = points[k + 1] if alpha == 1.0 else history.predictors[k]
+        step = h_quadratic(h, points[k].as_array() - target.as_array())
         certs.append(
             ContractionCertificate(
                 iteration=k,
-                dist_before=before,
-                dist_after=after,
+                dist_before=dist[k],
+                dist_after=dist[k + 1],
                 step_h=step,
-                slack=before - after - scale * step,
+                slack=dist[k] - dist[k + 1] - scale * step,
             )
         )
     return certs

@@ -1,4 +1,5 @@
-"""Dense symmetric linear algebra: Cholesky factors, SPD solves, spectral norms.
+"""Dense symmetric linear algebra: Cholesky factors, SPD solves, spectral
+norms, and the quadratic form of a metric given densely or as an operator.
 
 SPD solves call LAPACK's triangular solve (dtrtrs) directly, with the
 arguments scipy.linalg.solve_triangular would pass it, so results match
@@ -118,8 +119,54 @@ def spectral_norm_sq(a: np.ndarray, tol: float = POWER_TOL, max_iters: int = POW
     raise NoConvergence(f"power iteration did not stabilize in {max_iters} iterations")
 
 
-def h_quadratic(h: np.ndarray, v: np.ndarray) -> float:
-    """Quadratic form v^T H v; H is assumed symmetric."""
+class Metric:
+    """A symmetric positive semidefinite metric H on stacked (x, lam)
+    vectors, held as an operator: each family states v^T H v as a sum of
+    squares that costs O(mn) and never forms the (n + m)^2 matrix.
+
+    dense() builds the matrix itself, and numpy reads the operator as
+    that matrix (np.asarray, np.array_equal).  A difference with a
+    non-finite entry has quadratic form nan, as h_quadratic gives with
+    the identity matrix.  The sums of squares never go negative, so the
+    H-norm is their plain square root.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n + self.m, self.n + self.m)
+
+    def quad(self, v: np.ndarray) -> float:
+        """v^T H v for a stacked vector v = (dx, dlam)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n + self.m,):
+            raise DimensionMismatch(f"vector shape {v.shape} does not match metric dim {self.n + self.m}")
+        return self.quad_pair(v[: self.n], v[self.n :])
+
+    def quad_pair(self, dx: np.ndarray, dlam: np.ndarray) -> float:
+        """v^T H v for v = (dx, dlam), read without stacking."""
+        q = self._sum_of_squares(dx, dlam)
+        if q == math.inf and not (np.isfinite(dx).all() and np.isfinite(dlam).all()):
+            return math.nan
+        return q
+
+    def _sum_of_squares(self, dx: np.ndarray, dlam: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def dense(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def __array__(self, dtype=None, copy=None):
+        h = self.dense()
+        return h if dtype is None else h.astype(dtype, copy=False)
+
+
+def h_quadratic(h, v: np.ndarray) -> float:
+    """Quadratic form v^T H v; H is a Metric operator or a symmetric matrix."""
+    if isinstance(h, Metric):
+        return h.quad(v)
     h = np.asarray(h, dtype=float)
     v = np.asarray(v, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:

@@ -218,6 +218,19 @@ def lagrangian(prob, w: PrimalDualPoint) -> float:
     return total_objective(prob, w.x) - float(w.lam @ coupling(prob, w.x))
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 as sqrt(v . v), what np.linalg.norm computes for a 1-d
+    array, bit for bit, without its argument handling.  The squares
+    overflow above ~1e154 on finite input; only then is the norm taken
+    as s ||v / s|| with s = max |v_i|."""
+    out = math.sqrt(v.dot(v))
+    if not math.isfinite(out) and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        u = v / scale
+        out = scale * math.sqrt(u.dot(u))
+    return out
+
+
 def kkt_residual(prob, w: PrimalDualPoint) -> KktResidual:
     """Primal, dual and complementarity residual norms at w.
 
@@ -227,20 +240,20 @@ def kkt_residual(prob, w: PrimalDualPoint) -> KktResidual:
     """
     resid = coupling(prob, w.x)
     if prob.sense is Sense.EQUALITY:
-        primal = float(np.linalg.norm(resid))
+        primal = _norm(resid)
         comp = 0.0
     else:
-        primal = float(np.linalg.norm(np.minimum(resid, 0.0)))
+        primal = _norm(np.minimum(resid, 0.0))
         comp = float(abs(w.lam @ resid))
     if isinstance(prob, SeparableProblem):
         gaps = []
         for blk, xi in zip(prob.blocks, prob.split(w.x)):
             target = prox_constrained(blk.theta, blk.x_set, 1.0, xi + blk.a.T @ w.lam)
             gaps.append(xi - target)
-        dual = float(np.linalg.norm(np.concatenate(gaps)))
+        dual = _norm(np.concatenate(gaps))
     else:
         target = prox_constrained(prob.theta, prob.x_set, 1.0, w.x + prob.a.T @ w.lam)
-        dual = float(np.linalg.norm(w.x - target))
+        dual = _norm(w.x - target)
     return KktResidual(primal=primal, dual=dual, complementarity=comp)
 
 

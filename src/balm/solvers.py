@@ -24,7 +24,7 @@ from .errors import (
     InnerNoConvergence,
     UnsupportedCombination,
 )
-from .linalg import cholesky_factor, h_quadratic, solve_spd
+from .linalg import Metric, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .problems import (
     PrimalDualPoint,
@@ -145,7 +145,7 @@ class RunHistory:
     successive_h_steps: list
     h_distances: list | None
     predictors: list | None
-    metric: np.ndarray
+    metric: Metric
     converged: bool
 
     def __len__(self) -> int:
@@ -153,28 +153,21 @@ class RunHistory:
 
 
 # ---------------------------------------------------------------------------
-# metric matrices
+# metrics: dense builders and the operators a run measures in
 
 
 def balanced_metric(a: np.ndarray, r: float, delta: float) -> np.ndarray:
     """The PPA metric [[r I, A^T], [A, (1/r) A A^T + delta I]]."""
     a = np.asarray(a, dtype=float)
-    return _balanced_metric(a, r, build_h0(a, r, delta).h)
-
-
-def _balanced_metric(a: np.ndarray, r: float, corner: np.ndarray) -> np.ndarray:
-    n = a.shape[1]
-    return np.block([[r * np.eye(n), a.T], [a, corner]])
+    corner = build_h0(a, r, delta).h
+    return np.block([[r * np.eye(a.shape[1]), a.T], [a, corner]])
 
 
 def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
     """Block-diagonal r_i I over the blocks, bordered by the A_i and the
     multi-block dual metric."""
     a_list = [np.asarray(a, dtype=float) for a in a_list]
-    return _split_metric(a_list, r_list, build_hp(list(zip(a_list, r_list)), delta).h)
-
-
-def _split_metric(a_list: list, r_list, corner: np.ndarray) -> np.ndarray:
+    corner = build_hp(list(zip(a_list, r_list)), delta).h
     rows = []
     for i, (a_i, r_i) in enumerate(zip(a_list, r_list)):
         n_i = a_i.shape[1]
@@ -193,10 +186,7 @@ def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: 
     own Gram regularization r A1^T A1 + delta I."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
-    return _alt_split_metric(a1, a2, r, s, delta, build_h2(a2, r, s, delta).h)
-
-
-def _alt_split_metric(a1, a2, r: float, s: float, delta: float, corner: np.ndarray) -> np.ndarray:
+    corner = build_h2(a2, r, s, delta).h
     n1, n2 = a1.shape[1], a2.shape[1]
     g1 = a1.T @ a1
     g1 = 0.5 * (g1 + g1.T)
@@ -207,6 +197,78 @@ def _alt_split_metric(a1, a2, r: float, s: float, delta: float, corner: np.ndarr
             [a1, a2, corner],
         ]
     )
+
+
+class BalancedMetric(Metric):
+    """Metric of the balanced family: one block (balanced_metric) or
+    several (split_metric, which for one block is balanced_metric).
+
+    v^T H v = sum_i (1/r_i) ||r_i dx_i + A_i^T dlam||^2 + delta ||dlam||^2.
+    """
+
+    def __init__(self, a_list: list, r_list, delta: float):
+        self.a_list = [np.asarray(a, dtype=float) for a in a_list]
+        self.r_list = tuple(r_list)
+        self.delta = delta
+        if not (delta > 0 and all(r > 0 for r in self.r_list)):
+            raise ValueError("r and delta must be positive")
+        super().__init__(sum(a.shape[1] for a in self.a_list), self.a_list[0].shape[0])
+
+    def _sum_of_squares(self, dx, dlam):
+        total, at = self.delta * float(dlam.dot(dlam)), 0
+        for a, r in zip(self.a_list, self.r_list):
+            u = a.T.dot(dlam)
+            u += r * dx[at : at + a.shape[1]]
+            total += float(u.dot(u)) / r
+            at += a.shape[1]
+        return total
+
+    def dense(self):
+        return split_metric(self.a_list, self.r_list, self.delta)
+
+
+class AltSplitMetric(Metric):
+    """Metric of the prox-one-block variant (alt_split_metric):
+
+    v^T H v = (1/r) ||r A1 dx1 + dlam||^2 + delta ||dx1||^2
+              + (1/s) ||s dx2 + A2^T dlam||^2 + delta ||dlam||^2.
+    """
+
+    def __init__(self, a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: float):
+        self.a1 = np.asarray(a1, dtype=float)
+        self.a2 = np.asarray(a2, dtype=float)
+        self.r, self.s, self.delta = r, s, delta
+        if not (r > 0 and s > 0 and delta > 0):
+            raise ValueError("r, s and delta must be positive")
+        super().__init__(self.a1.shape[1] + self.a2.shape[1], self.a1.shape[0])
+
+    def _sum_of_squares(self, dx, dlam):
+        n1 = self.a1.shape[1]
+        dx1 = dx[:n1]
+        u1 = self.r * self.a1.dot(dx1)
+        u1 += dlam
+        u2 = self.a2.T.dot(dlam)
+        u2 += self.s * dx[n1:]
+        return (
+            float(u1.dot(u1)) / self.r
+            + self.delta * float(dx1.dot(dx1))
+            + float(u2.dot(u2)) / self.s
+            + self.delta * float(dlam.dot(dlam))
+        )
+
+    def dense(self):
+        return alt_split_metric(self.a1, self.a2, self.r, self.s, self.delta)
+
+
+class IdentityMetric(Metric):
+    """The Euclidean metric the baselines are measured in: v^T v."""
+
+    def _sum_of_squares(self, dx, dlam):
+        v = np.concatenate([dx, dlam])
+        return float(v @ v)
+
+    def dense(self):
+        return np.eye(self.n + self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +514,7 @@ def _driver(prob, cfg):
     if isinstance(cfg, BalancedAlmConfig):
         p = _single_block(prob)
         sys = build_h0(p.a, cfg.r, cfg.delta)
-        metric = _balanced_metric(p.a, cfg.r, sys.h)
+        metric = BalancedMetric([p.a], [cfg.r], cfg.delta)
         relaxed = cfg.alpha != 1.0
 
         def step(w):
@@ -466,13 +528,13 @@ def _driver(prob, cfg):
         if len(cfg.r_list) != len(prob.blocks):
             raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
         sys = build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta)
-        metric = _split_metric([blk.a for blk in prob.blocks], cfg.r_list, sys.h)
+        metric = BalancedMetric([blk.a for blk in prob.blocks], cfg.r_list, cfg.delta)
         return prob, (lambda w: (split_balanced_step(prob, cfg, sys, w), None)), metric, False
     if isinstance(cfg, AltSplitConfig):
         if not isinstance(prob, SeparableProblem) or len(prob.blocks) != 2:
             raise ConfigInvalid("the alternative split needs exactly two blocks")
         sys = build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
-        metric = _alt_split_metric(prob.blocks[0].a, prob.blocks[1].a, cfg.r, cfg.s, cfg.delta, sys.h)
+        metric = AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
         return prob, (lambda w: (alt_split_step(prob, cfg, sys, w), None)), metric, False
     if isinstance(cfg, BaselineConfig):
         if cfg.method in (Method.ADMM, Method.LINEARIZED_ADMM):
@@ -497,16 +559,20 @@ def _driver(prob, cfg):
                     raise ConfigInvalid(f"sigma = {cfg.sigma_or_s} must exceed {bound}")
             if cfg.method is Method.PRIMAL_DUAL and not cfg.r * cfg.sigma_or_s > p.gram_norm:
                 raise ConfigInvalid(f"r*s = {cfg.r * cfg.sigma_or_s} must exceed {p.gram_norm}")
-        metric = np.eye(p.n + p.m)
+        metric = IdentityMetric(p.n, p.m)
         return p, (lambda w: (step_fn(p, cfg, w), None)), metric, False
     raise ConfigInvalid(f"unknown config type {type(cfg).__name__}")
 
 
-def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
-    if w0.x.shape != (prob.n,) or w0.lam.shape != (prob.m,):
+def _check_shapes(prob, w: PrimalDualPoint, label: str) -> None:
+    if w.x.shape != (prob.n,) or w.lam.shape != (prob.m,):
         raise DimensionMismatch(
-            f"start point has shapes {w0.x.shape}/{w0.lam.shape}, expected ({prob.n},)/({prob.m},)"
+            f"{label} point has shapes {w.x.shape}/{w.lam.shape}, expected ({prob.n},)/({prob.m},)"
         )
+
+
+def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
+    _check_shapes(prob, w0, "start")
     if not (np.all(np.isfinite(w0.x)) and np.all(np.isfinite(w0.lam))):
         raise ValueError("start point must be finite")
     if prob.sense is Sense.INEQUALITY and not np.all(w0.lam >= 0):
@@ -522,10 +588,6 @@ def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
     return w0
 
 
-def _h_norm(metric: np.ndarray, v: np.ndarray) -> float:
-    return math.sqrt(max(h_quadratic(metric, v), 0.0))
-
-
 def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference: PrimalDualPoint | None = None) -> RunHistory:
     """Iterate until every KKT residual falls below stop.kkt_tol or
     stop.max_iters steps are taken.  Records the full trajectory.
@@ -535,12 +597,17 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     """
     prob, step, metric, relaxed = _driver(prob, cfg)
     w = default_start(prob) if w0 is None else _check_start(prob, w0)
-    ref_arr = reference.as_array() if reference is not None else None
 
+    def h_dist(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
+        return math.sqrt(metric.quad_pair(u.x - v.x, u.lam - v.lam))
+
+    distances = None
+    if reference is not None:
+        _check_shapes(prob, reference, "reference")
+        distances = [h_dist(w, reference)]
     iterates = [w]
     residuals = [kkt_residual(prob, w)]
     steps_h = [math.nan]
-    distances = [_h_norm(metric, w.as_array() - ref_arr)] if ref_arr is not None else None
     predictors = [] if relaxed else None
 
     converged = residuals[0].within(stop.kkt_tol)
@@ -548,9 +615,9 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
         w_next, pred = step(w)
         iterates.append(w_next)
         residuals.append(kkt_residual(prob, w_next))
-        steps_h.append(_h_norm(metric, w.as_array() - w_next.as_array()))
+        steps_h.append(h_dist(w, w_next))
         if distances is not None:
-            distances.append(_h_norm(metric, w_next.as_array() - ref_arr))
+            distances.append(h_dist(w_next, reference))
         if predictors is not None:
             predictors.append(pred)
         w = w_next

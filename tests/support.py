@@ -26,7 +26,8 @@ from balm import (
     WholeSpace,
 )
 from balm.bench import ineq_qp_reference
-from balm.linalg import SpdFactor
+from balm.diagnostics import ContractionCertificate
+from balm.linalg import SpdFactor, h_quadratic
 from balm.prox import objective_value, prox
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -179,3 +180,20 @@ def active_set_scipy(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_step
             return np.maximum(lam, 0.0), step
         free = new_free
     return None, max_steps
+
+
+def contraction_ledger_three_term(history, h, w_star, alpha: float = 1.0) -> list:
+    """diagnostics.contraction_ledger as three metric quadratics per
+    iteration: dist_before, dist_after and the step, each evaluated anew."""
+    scale = alpha * (2.0 - alpha)
+    ref = w_star.as_array()
+    certs = []
+    for k in range(len(history.iterates) - 1):
+        w_k = history.iterates[k].as_array()
+        w_next = history.iterates[k + 1].as_array()
+        before = h_quadratic(h, w_k - ref)
+        after = h_quadratic(h, w_next - ref)
+        target = w_next if alpha == 1.0 else history.predictors[k].as_array()
+        step = h_quadratic(h, w_k - target)
+        certs.append(ContractionCertificate(k, before, after, step, before - after - scale * step))
+    return certs

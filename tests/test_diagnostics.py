@@ -215,3 +215,27 @@ def test_vi_gap_insufficient_history():
     h = _history([(0.0, 0.0), (1.0, 1.0)], np.eye(2))
     with pytest.raises(InsufficientHistory):
         vi_gap(support.scalar_problem(), h, 5, probe_count=10, rng_seed=0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("dense", [False, True])
+def test_contraction_ledger_evaluates_each_distance_once(alpha, dense, monkeypatch):
+    import balm.diagnostics as diagnostics
+
+    rng = np.random.default_rng(52)
+    prob, star = support.random_eq_qp(rng, 5, 3)
+    hist = run(prob, BalancedAlmConfig(1.0, 0.2, alpha=alpha), StopRule(40, 1e-13))
+    h = np.asarray(hist.metric) if dense else hist.metric
+    expected = support.contraction_ledger_three_term(hist, h, star, alpha=alpha)
+    calls = []
+    original = diagnostics.h_quadratic
+    monkeypatch.setattr(diagnostics, "h_quadratic", lambda *args: calls.append(1) or original(*args))
+    certs = contraction_ledger(hist, h, star, alpha=alpha)
+    assert len(certs) == len(expected) == len(hist) - 1 == 40
+    for got, want in zip(certs, expected):
+        assert got.iteration == want.iteration
+        assert got.dist_before == want.dist_before
+        assert got.dist_after == want.dist_after
+        assert got.step_h == want.step_h
+        assert got.slack == want.slack
+    assert len(calls) == 2 * len(certs) + 1

@@ -22,7 +22,8 @@ from balm.problems import (
     total_objective,
     vi_operator,
 )
-from balm.prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, WholeSpace, Zero
+from balm.prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, WholeSpace, Zero, prox_constrained
+from balm.solvers import BalancedAlmConfig, StopRule, run
 
 import support
 
@@ -204,3 +205,28 @@ def test_kkt_residual_nan_is_never_within():
         assert math.isnan(r.max())
         assert not r.within(1e-8)
         assert not r.within(math.inf)
+
+
+def test_kkt_residual_norms_do_not_overflow_on_finite_entries():
+    prob = Problem(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1), [1e308], Sense.EQUALITY)
+    with np.errstate(over="ignore"):
+        res = kkt_residual(prob, default_start(prob))
+        assert res.primal == 1e308 and res.dual == 0.0
+        wide = Problem(Quadratic(np.eye(2), np.zeros(2)), WholeSpace(), np.eye(2), [1e200, -1e200], Sense.EQUALITY)
+        assert kkt_residual(wide, default_start(wide)).primal == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        gap = kkt_residual(wide, PrimalDualPoint(np.zeros(2), np.array([3e200, 4e200])))
+        assert gap.dual == pytest.approx(2.5e200, rel=1e-15)  # x - prox = -lam / 2
+        hist = run(prob, BalancedAlmConfig(1.0, 0.01), StopRule(max_iters=3, kkt_tol=1e-8))
+    assert len(hist) > 1
+
+
+def test_kkt_residual_bits_unchanged_below_overflow():
+    rng = np.random.default_rng(12)
+    prob, _ = support.random_ineq_qp(rng, 6, 3)
+    for _ in range(50):
+        w = PrimalDualPoint(rng.standard_normal(6), np.abs(rng.standard_normal(3)))
+        res = kkt_residual(prob, w)
+        resid = prob.a @ w.x - prob.b
+        target = prox_constrained(prob.theta, prob.x_set, 1.0, w.x + prob.a.T @ w.lam)
+        assert res.primal == float(np.linalg.norm(np.minimum(resid, 0.0)))
+        assert res.dual == float(np.linalg.norm(w.x - target))

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from balm.bench import build_config, generate_instance, metric_for
 from balm.errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
-from balm.linalg import cholesky_factor
+from balm.linalg import cholesky_factor, h_quadratic
 from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense, default_start, flatten_blocks, kkt_residual
 from balm.prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, WholeSpace, Zero
 from balm.solvers import (
     AltSplitConfig,
+    AltSplitMetric,
     BalancedAlmConfig,
+    BalancedMetric,
     BaselineConfig,
+    IdentityMetric,
     Method,
     RunHistory,
     SplitConfig,
@@ -618,3 +624,123 @@ def test_run_takes_no_step_from_a_non_finite_start_residual():
     with np.errstate(all="ignore"):
         hist = run(prob, BalancedAlmConfig(1.0, 0.01), StopRule(max_iters=5000, kkt_tol=1e-8))
     assert len(hist.iterates) == 1 and not hist.converged
+
+
+# ---------------------------------------------------------------------------
+# metric operators against their dense matrices
+
+
+def _rows(rng, m: int, n: int, rank: int) -> np.ndarray:
+    """An m x n matrix of rank min(rank, m, n), rows scaled by 10^[-1, 1]."""
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    return a * 10.0 ** rng.uniform(-1.0, 1.0, size=(m, 1))
+
+
+@st.composite
+def _metric_cases(draw):
+    """(operator, dense builder output, probe vectors) over every family."""
+    family = draw(st.sampled_from(["balanced", "split", "alt-split", "identity"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 8))
+    dims = [draw(st.integers(1, 12)) for _ in range(draw(st.integers(2, 3)) if family == "split" else 2)]
+    rank = draw(st.integers(1, m + 2))  # below m: rank-deficient rows
+    a_list = [_rows(rng, m, n, rank) for n in dims]
+    weight = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    r_list, s, delta = [draw(weight) for _ in dims], draw(weight), draw(weight)
+    if family == "balanced":
+        a = np.hstack(a_list)
+        op, dense = BalancedMetric([a], [r_list[0]], delta), balanced_metric(a, r_list[0], delta)
+    elif family == "split":
+        op, dense = BalancedMetric(a_list, r_list, delta), split_metric(a_list, r_list, delta)
+    elif family == "alt-split":
+        op = AltSplitMetric(a_list[0], a_list[1], r_list[0], s, delta)
+        dense = alt_split_metric(a_list[0], a_list[1], r_list[0], s, delta)
+    else:
+        op, dense = IdentityMetric(sum(dims), m), np.eye(sum(dims) + m)
+    vs = [rng.standard_normal(sum(dims) + m) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4)]
+    return op, dense, vs
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_metric_cases())
+def test_metric_quad_matches_the_dense_quadratic(case):
+    op, dense, vs = case
+    assert op.shape == dense.shape
+    assert np.array_equal(op.dense(), dense) and np.array_equal(op, dense)
+    for v in vs:
+        q = op.quad(v)
+        scale = float(np.abs(v) @ np.abs(dense) @ np.abs(v))
+        assert abs(q - h_quadratic(dense, v)) <= 1e-13 * scale
+        assert h_quadratic(op, v) == q == op.quad_pair(v[: op.n], v[op.n :])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 30),
+    m=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-300.0, 300.0),
+)
+def test_identity_metric_is_the_dense_identity_bit_for_bit(n, m, seed, log_scale):
+    v = np.random.default_rng(seed).standard_normal(n + m) * 10.0**log_scale
+    with np.errstate(over="ignore"):
+        assert IdentityMetric(n, m).quad(v) == h_quadratic(np.eye(n + m), v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 4])
+def test_metric_of_a_non_finite_difference_is_nan(bad, at):
+    rng = np.random.default_rng(41)
+    a1, a2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
+    v = rng.standard_normal(7)
+    v[at] = bad
+    ops = [
+        IdentityMetric(5, 2),
+        BalancedMetric([np.hstack([a1, a2])], [1.0], 0.1),
+        BalancedMetric([a1, a2], [1.0, 2.0], 0.1),
+        AltSplitMetric(a1, a2, 1.0, 2.0, 0.1),
+    ]
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(h_quadratic(np.eye(7), v))
+        for op in ops:
+            assert math.isnan(op.quad(v)), type(op).__name__
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 12), log_r=st.floats(-3.0, 3.0))
+def test_single_block_split_metric_is_the_balanced_metric_bit_for_bit(seed, m, n, log_r):
+    rng = np.random.default_rng(seed)
+    a, r = rng.standard_normal((m, n)), 10.0**log_r
+    prob = Problem(Zero(), WholeSpace(), a, np.zeros(m), Sense.EQUALITY)
+    sep = SeparableProblem((Block(Zero(), WholeSpace(), a),), np.zeros(m), Sense.EQUALITY)
+    balanced = metric_for("balanced-alm", {"r": r, "delta": 0.3}, prob)
+    split = metric_for("split-balanced", {"r_list": [r], "delta": 0.3}, sep)
+    for _ in range(5):
+        v = rng.standard_normal(n + m)
+        assert split.quad(v) == balanced.quad(v)
+
+
+@pytest.mark.parametrize("method", ["balanced-alm", "primal-dual"])
+def test_run_never_forms_a_dense_metric(method):
+    prob, _ = generate_instance("basis_pursuit", (200, 2000), seed=1)
+    ref = PrimalDualPoint(np.ones(prob.n), np.ones(prob.m))  # any point gives a dist_h column
+    # primal-dual's stepsize default and check read ||A^T A||, cached on the
+    # problem when the config is built; run itself is what is measured here
+    cfg = build_config(method, prob)
+    dense_mb = (prob.n + prob.m) ** 2 * 8 / 1e6  # 38.7 MB
+    tracemalloc.start()
+    try:
+        hist = run(prob, cfg, StopRule(5, 1e-12), reference=ref)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(hist) == 6 and len(hist.h_distances) == 6
+    assert peak_mb < dense_mb / 4, peak_mb
+
+
+def test_metric_and_run_reject_mismatched_shapes():
+    with pytest.raises(DimensionMismatch):
+        h_quadratic(IdentityMetric(1, 1), np.ones(3))
+    prob = support.scalar_problem()
+    with pytest.raises(DimensionMismatch):
+        run(prob, BalancedAlmConfig(1.0, 0.1), StopRule(5, 1e-8), reference=PrimalDualPoint(np.ones(2), np.ones(1)))
