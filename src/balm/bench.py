@@ -5,6 +5,10 @@ serialize through repr, the shortest decimal that reparses to the same
 bit pattern, so parse-then-serialize is the identity on canonical files.
 History tables are CSV with a single JSON metadata comment up front and
 carry full iterates, so every certificate can be replayed offline.
+
+The method helpers (METHOD_NAMES, build_config, config_params,
+metric_for and history_from_table's flatten rule) each read one row of
+solvers.METHODS.
 """
 
 from __future__ import annotations
@@ -16,46 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalmError, ConfigInvalid, InvalidDims, SchemaError
+from .errors import BalmError, InvalidDims, SchemaError
 from .linalg import Metric, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, solve_lcp
-from .problems import (
-    Block,
-    PrimalDualPoint,
-    Problem,
-    Sense,
-    SeparableProblem,
-    flatten_blocks,
-    kkt_residual,
-    total_objective,
-)
+from .problems import Block, PrimalDualPoint, Problem, Sense, SeparableProblem, kkt_residual, total_objective
 from .prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, WholeSpace, Zero
-from .solvers import (
-    AltSplitConfig,
-    AltSplitMetric,
-    BalancedAlmConfig,
-    BalancedMetric,
-    BaselineConfig,
-    IdentityMetric,
-    Method,
-    RunHistory,
-    SplitConfig,
-    StopRule,
-    run,
-)
+from .solvers import METHODS, MethodSpec, RunHistory, StopRule, run
 
 SCHEMA_VERSION = "1"
 GENERATOR_KINDS = ("random_qp_eq", "basis_pursuit", "lasso_eq", "nonneg_qp_ineq")
-METHOD_NAMES = (
-    "balanced-alm",
-    "split-balanced",
-    "alt-split",
-    "classic-alm",
-    "lalm",
-    "primal-dual",
-    "admm",
-    "ladmm",
-)
+METHOD_NAMES = tuple(METHODS)
 
 
 # ---------------------------------------------------------------------------
@@ -415,49 +389,43 @@ def read_history_table(path: str):
     return meta, cols
 
 
+def _method(name: str) -> MethodSpec:
+    try:
+        return METHODS[name]
+    except KeyError:
+        raise ValueError(f"unknown method {name!r}") from None
+
+
 def metric_for(method: str, params: dict, prob) -> Metric:
     """Rebuild the metric a run used, from its recorded parameters."""
-    if method == "balanced-alm":
-        p = flatten_blocks(prob) if isinstance(prob, SeparableProblem) else prob
-        return BalancedMetric([p.a], [params["r"]], params["delta"])
-    if method == "split-balanced":
-        return BalancedMetric([blk.a for blk in prob.blocks], params["r_list"], params["delta"])
-    if method == "alt-split":
-        return AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, params["r"], params["s"], params["delta"])
-    return IdentityMetric(prob.n, prob.m)
+    spec = _method(method)
+    return spec.metric(spec.problem(prob), params)
 
 
 def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     """Reconstruct a RunHistory (iterates, predictors, metric) from a
     parsed table; residuals are recomputed from the iterates."""
     n, m = meta["n"], meta["m"]
-    rows = len(cols["k"])
-    iterates = [
-        PrimalDualPoint(
-            np.array([cols[f"x_{i}"][row] for i in range(n)]),
-            np.array([cols[f"lam_{j}"][row] for j in range(m)]),
-        )
-        for row in range(rows)
-    ]
-    predictors = None
-    if meta.get("has_predictors"):
-        predictors = [
-            PrimalDualPoint(
-                np.array([cols[f"px_{i}"][row] for i in range(n)]),
-                np.array([cols[f"plam_{j}"][row] for j in range(m)]),
-            )
-            for row in range(1, rows)
+
+    def points(x: str, lam: str, first: int) -> list:
+        xs = [cols[f"{x}_{i}"] for i in range(n)]
+        lams = [cols[f"{lam}_{j}"] for j in range(m)]
+        return [
+            PrimalDualPoint(np.array([c[row] for c in xs]), np.array([c[row] for c in lams]))
+            for row in range(first, len(cols["k"]))
         ]
-    run_prob = flatten_blocks(prob) if (
-        isinstance(prob, SeparableProblem) and meta["method"] in ("balanced-alm", "classic-alm", "lalm", "primal-dual")
-    ) else prob
+
+    iterates = points("x", "lam", 0)
+    predictors = points("px", "plam", 1) if meta.get("has_predictors") else None
+    spec = _method(meta["method"])
+    run_prob = spec.problem(prob)
     return RunHistory(
         iterates=iterates,
         residuals=[kkt_residual(run_prob, w) for w in iterates],
         successive_h_steps=cols["step_h"],
         h_distances=cols.get("dist_h"),
         predictors=predictors,
-        metric=metric_for(meta["method"], meta["params"], prob),
+        metric=spec.metric(run_prob, meta["params"]),
         converged=bool(meta.get("converged")),
     )
 
@@ -483,50 +451,15 @@ def build_config(
     """Turn a method name plus shared flags into a config; stepsizes that
     carry validity conditions get safe defaults from the instance when
     not supplied."""
-
-    def gram():
-        p = flatten_blocks(prob) if isinstance(prob, SeparableProblem) else prob
-        return p.gram_norm
-
-    if name == "balanced-alm":
-        return BalancedAlmConfig(r=r, delta=delta, alpha=alpha)
-    if name == "split-balanced":
-        if not isinstance(prob, SeparableProblem):
-            raise ConfigInvalid("split-balanced needs a block-structured problem")
-        weights = tuple(r_list) if r_list else (r,) * len(prob.blocks)
-        return SplitConfig(r_list=weights, delta=delta)
-    if name == "alt-split":
-        return AltSplitConfig(r=r, s=(s if s is not None else r), delta=delta)
-    if name == "classic-alm":
-        return BaselineConfig(Method.CLASSIC_ALM, r=r, inner_tol=inner_tol, inner_max_iters=inner_max_iters)
-    if name == "lalm":
-        val = sigma if sigma is not None else 1.01 * r * gram()
-        return BaselineConfig(Method.LALM, r=r, sigma_or_s=val, sharp_bounds=sharp_bounds)
-    if name == "primal-dual":
-        val = s if s is not None else 1.01 * gram() / r
-        return BaselineConfig(Method.PRIMAL_DUAL, r=r, sigma_or_s=val)
-    if name == "admm":
-        return BaselineConfig(Method.ADMM, r=r, inner_tol=inner_tol, inner_max_iters=inner_max_iters)
-    if name == "ladmm":
-        if not isinstance(prob, SeparableProblem) or len(prob.blocks) != 2:
-            raise ConfigInvalid("ladmm needs a two-block problem")
-        val = s if s is not None else 1.01 * r * prob.block_gram_norms[1]
-        return BaselineConfig(
-            Method.LINEARIZED_ADMM, r=r, sigma_or_s=val,
-            inner_tol=inner_tol, inner_max_iters=inner_max_iters, sharp_bounds=sharp_bounds,
-        )
-    raise ValueError(f"unknown method {name!r}")
+    return _method(name).config(
+        prob, r=r, delta=delta, alpha=alpha, s=s, sigma=sigma, r_list=r_list,
+        sharp_bounds=sharp_bounds, inner_tol=inner_tol, inner_max_iters=inner_max_iters,
+    )
 
 
 def config_params(name: str, cfg) -> dict:
     """The parameters a history table needs to rebuild the run metric."""
-    if isinstance(cfg, BalancedAlmConfig):
-        return {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha}
-    if isinstance(cfg, SplitConfig):
-        return {"r_list": list(cfg.r_list), "delta": cfg.delta}
-    if isinstance(cfg, AltSplitConfig):
-        return {"r": cfg.r, "s": cfg.s, "delta": cfg.delta}
-    return {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds}
+    return METHODS[cfg.method_name].params(cfg)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from . import bench
 from .diagnostics import contraction_ledger, vi_gap
 from .errors import BalmError, ConfigInvalid, NoConvergence, SchemaError
 from .problems import PrimalDualPoint, total_objective
-from .solvers import StopRule, run
+from .solvers import METHODS, StopRule, run
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -30,7 +30,8 @@ def _add_shared_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=float, default=None, help="dual/second-block stepsize")
     p.add_argument("--sigma", type=float, default=None, help="linearization weight for lalm")
     p.add_argument("--r-list", default=None, help="comma-separated per-block prox weights")
-    p.add_argument("--sharp-bounds", action="store_true", help="use the 0.75 stepsize bounds")
+    sharp = " and ".join(name for name, spec in METHODS.items() if spec.sharp_bounds)
+    p.add_argument("--sharp-bounds", action="store_true", help=f"relax the stepsize condition of {sharp} by 0.75")
     p.add_argument("--inner-tol", type=float, default=1e-10)
     p.add_argument("--inner-max-iters", type=int, default=50_000)
     p.add_argument("--tol", type=float, default=1e-8, help="KKT stopping tolerance")
@@ -73,20 +74,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _flags(args) -> dict:
-    r_list = None
-    if args.r_list:
-        r_list = tuple(float(tok) for tok in args.r_list.split(","))
-    return dict(
-        r=args.r,
-        delta=args.delta,
-        alpha=args.alpha,
-        s=args.s,
-        sigma=args.sigma,
-        r_list=r_list,
-        sharp_bounds=args.sharp_bounds,
-        inner_tol=args.inner_tol,
-        inner_max_iters=args.inner_max_iters,
-    )
+    """The shared solver flags as bench.build_config keywords."""
+    keys = ("r", "delta", "alpha", "s", "sigma", "sharp_bounds", "inner_tol", "inner_max_iters")
+    flags = {key: getattr(args, key) for key in keys}
+    flags["r_list"] = tuple(float(tok) for tok in args.r_list.split(",")) if args.r_list else None
+    return flags
 
 
 def _cmd_generate(args) -> int:

@@ -173,11 +173,11 @@ class KktResidual:
 
     def max(self) -> float:
         """The largest component; nan if any component is nan, so a nan
-        residual is never within tolerance."""
-        parts = (self.primal, self.dual, self.complementarity)
-        if any(math.isnan(v) for v in parts):
+        residual is never within tolerance.  The components are nonnegative,
+        so their sum is nan exactly when one of them is."""
+        if math.isnan(self.primal + self.dual + self.complementarity):
             return math.nan
-        return max(parts)
+        return max(self.primal, self.dual, self.complementarity)
 
     def within(self, tol: float) -> bool:
         return self.max() <= tol

@@ -1,4 +1,4 @@
-"""Solver steps and the run driver.
+"""Solver steps, the method table and the run driver.
 
 The balanced family decouples the objective from the constraint rows:
 the x-update is a plain prox at q = x + (1/r) A^T lam, and the
@@ -7,6 +7,10 @@ constraints) in a shifted Gram metric.  Classic augmented Lagrangian,
 linearized ALM, a primal-dual scheme and (linearized) ADMM are
 included as baselines; their stepsize conditions are enforced, not
 assumed.
+
+METHODS holds one MethodSpec per method name: its config from the
+shared flags, its checks, dual system, metric, step and recorded
+params.  run, the bench helpers and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -15,26 +19,15 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, ClassVar
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    InnerNoConvergence,
-    UnsupportedCombination,
-)
+from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
 from .linalg import Metric, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
-from .problems import (
-    PrimalDualPoint,
-    Problem,
-    Sense,
-    SeparableProblem,
-    default_start,
-    flatten_blocks,
-    kkt_residual,
-)
+from .problems import PrimalDualPoint, Problem, Sense, SeparableProblem, default_start, flatten_blocks, kkt_residual
 from .prox import Linear, Quadratic, WholeSpace, Zero, contains as _set_contains, prox_constrained
 
 
@@ -51,6 +44,7 @@ class BalancedAlmConfig:
     """Parameters of the balanced method: prox weight r, dual shift delta,
     and a relaxation factor alpha (1 = unrelaxed)."""
 
+    method_name: ClassVar[str] = "balanced-alm"
     r: float
     delta: float
     alpha: float = 1.0
@@ -66,6 +60,7 @@ class BalancedAlmConfig:
 class SplitConfig:
     """Per-block prox weights for the parallel multi-block variant."""
 
+    method_name: ClassVar[str] = "split-balanced"
     r_list: tuple
     delta: float
 
@@ -82,6 +77,7 @@ class AltSplitConfig:
     """Two-block variant that proxes only the second block; the first block
     is handled through its own regularized normal equations."""
 
+    method_name: ClassVar[str] = "alt-split"
     r: float
     s: float
     delta: float
@@ -98,7 +94,8 @@ class BaselineConfig:
     sigma_or_s carries the linearization weight sigma (lalm), the dual
     stepsize s (primal-dual), or the second-block prox weight s (ladmm);
     it is ignored by classic-alm and admm.  sharp_bounds opts into the
-    0.75 relaxation of the lalm/ladmm stepsize conditions.
+    0.75 relaxation of the stepsize condition where the method's METHODS
+    row honours it: lalm and ladmm, not primal-dual.
     """
 
     method: Method
@@ -117,6 +114,10 @@ class BaselineConfig:
             raise ConfigInvalid("inner_tol must be positive")
         if self.inner_max_iters < 1:
             raise ConfigInvalid("inner_max_iters must be at least 1")
+
+    @property
+    def method_name(self) -> str:
+        return self.method.value
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,9 @@ def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
     multi-block dual metric."""
     a_list = [np.asarray(a, dtype=float) for a in a_list]
     corner = build_hp(list(zip(a_list, r_list)), delta).h
-    rows = []
-    for i, (a_i, r_i) in enumerate(zip(a_list, r_list)):
-        n_i = a_i.shape[1]
-        row = [
-            r_i * np.eye(n_i) if j == i else np.zeros((n_i, a_j.shape[1]))
-            for j, a_j in enumerate(a_list)
-        ]
-        row.append(a_i.T)
-        rows.append(row)
-    rows.append(a_list + [corner])
-    return np.block(rows)
+    top = block_diag(*(r_i * np.eye(a_i.shape[1]) for a_i, r_i in zip(a_list, r_list)))
+    a = np.hstack(a_list)
+    return np.block([[top, a.T], [a, corner]])
 
 
 def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: float) -> np.ndarray:
@@ -187,16 +180,11 @@ def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: 
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     corner = build_h2(a2, r, s, delta).h
-    n1, n2 = a1.shape[1], a2.shape[1]
     g1 = a1.T @ a1
     g1 = 0.5 * (g1 + g1.T)
-    return np.block(
-        [
-            [r * g1 + delta * np.eye(n1), np.zeros((n1, n2)), a1.T],
-            [np.zeros((n2, n1)), s * np.eye(n2), a2.T],
-            [a1, a2, corner],
-        ]
-    )
+    top = block_diag(r * g1 + delta * np.eye(a1.shape[1]), s * np.eye(a2.shape[1]))
+    a = np.hstack([a1, a2])
+    return np.block([[top, a.T], [a, corner]])
 
 
 class BalancedMetric(Metric):
@@ -272,6 +260,46 @@ class IdentityMetric(Metric):
 
 
 # ---------------------------------------------------------------------------
+# validity checks, each written once: run calls a method's check before
+# the first step, its public step function on every call
+
+
+def _require_blocks(prob, label: str, two: bool = False) -> None:
+    if not isinstance(prob, SeparableProblem) or two and len(prob.blocks) != 2:
+        raise ConfigInvalid(f"{label} needs a {'two-block' if two else 'block-structured'} problem")
+
+
+def _check_split(prob, cfg: SplitConfig) -> None:
+    _require_blocks(prob, "split-balanced")
+    if len(cfg.r_list) != len(prob.blocks):
+        raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
+
+
+def _check_alt_split(prob, cfg: AltSplitConfig) -> None:
+    _require_blocks(prob, "alt-split", two=True)
+    blk1 = prob.blocks[0]
+    if not isinstance(blk1.x_set, WholeSpace) or not isinstance(blk1.theta, (Quadratic, Linear, Zero)):
+        raise UnsupportedCombination("block 1 must be an unconstrained quadratic/linear/zero objective")
+
+
+def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
+    """An equality-constrained problem, one block if the method flattens
+    and two if not, and the row's stepsize condition (0.75 with sharp_bounds
+    if the row honours it)."""
+    spec = METHODS[name]
+    if not spec.flattens:
+        _require_blocks(prob, name, two=True)
+    elif isinstance(prob, SeparableProblem) or not isinstance(prob, Problem):
+        raise ConfigInvalid(f"{name} expects a single-block problem (flatten first)")
+    if prob.sense is not Sense.EQUALITY:
+        raise ConfigInvalid(f"{name} supports equality constraints only")
+    if spec.stepsize is not None:
+        label, value, bound = spec.stepsize(prob, cfg, 0.75 if cfg.sharp_bounds and spec.sharp_bounds else 1.0)
+        if not value > bound:
+            raise ConfigInvalid(f"{label} = {value} must exceed {bound}")
+
+
+# ---------------------------------------------------------------------------
 # balanced family steps
 
 
@@ -308,8 +336,7 @@ def generalized_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSyste
 
 def split_balanced_step(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Parallel per-block proxes, then one shared dual solve."""
-    if len(cfg.r_list) != len(prob.blocks):
-        raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
+    _check_split(prob, cfg)
     xs = prob.split(w.x)
     s_acc = np.zeros(prob.m)
     new_xs = []
@@ -345,11 +372,8 @@ def _alt_split_system(prob: SeparableProblem, cfg: AltSplitConfig):
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Two-block step: regularized normal equations for block 1, a prox
     for block 2, then the shared dual solve."""
-    if len(prob.blocks) != 2:
-        raise ConfigInvalid("this variant needs exactly two blocks")
+    _check_alt_split(prob, cfg)
     blk1, blk2 = prob.blocks
-    if not isinstance(blk1.x_set, WholeSpace) or not isinstance(blk1.theta, (Quadratic, Linear, Zero)):
-        raise UnsupportedCombination("block 1 must be an unconstrained quadratic/linear/zero objective")
     x1, x2 = prob.split(w.x)
     shift, factor = _alt_split_system(prob, cfg)
     c1 = blk1.theta.c if isinstance(blk1.theta, (Quadratic, Linear)) else np.zeros(blk1.n)
@@ -391,17 +415,10 @@ def _fista(theta, x_set, grad, lipschitz: float, x0: np.ndarray, tol: float, cap
     raise InnerNoConvergence(f"inner solver exceeded {cap} iterations")
 
 
-def _require_equality(prob, label: str):
-    if isinstance(prob, SeparableProblem) or not isinstance(prob, Problem):
-        raise ConfigInvalid(f"{label} expects a single-block problem (flatten first)")
-    if prob.sense is not Sense.EQUALITY:
-        raise ConfigInvalid(f"{label} supports equality constraints only")
-
-
 def classic_alm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """Augmented Lagrangian step: inner prox-gradient minimization of
     theta(x) + (r/2)||A x - b - lam/r||^2, then dual ascent."""
-    _require_equality(prob, "classic-alm")
+    _check_baseline(prob, cfg, "classic-alm")
     r = cfg.r
     d = prob.b + w.lam / r
     a = prob.a
@@ -418,11 +435,8 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
     """Linearized ALM: prox with weight sigma at the gradient point of the
     augmented term; requires sigma > r ||A^T A|| (0.75 factor when
     sharp_bounds is set)."""
-    _require_equality(prob, "lalm")
+    _check_baseline(prob, cfg, "lalm")
     r, sigma = cfg.r, cfg.sigma_or_s
-    bound = (0.75 if cfg.sharp_bounds else 1.0) * r * prob.gram_norm
-    if not sigma > bound:
-        raise ConfigInvalid(f"sigma = {sigma} must exceed {bound}")
     v = w.x + (prob.a.T @ (w.lam - r * (prob.a @ w.x - prob.b))) / sigma
     x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
     lam_new = w.lam - r * (prob.a @ x_new - prob.b)
@@ -431,72 +445,50 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
 
 def primal_dual_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """Primal-dual step with the same x-update as the balanced method but
-    a scalar dual stepsize 1/s; requires r s > ||A^T A||."""
-    _require_equality(prob, "primal-dual")
+    a scalar dual stepsize 1/s; requires r s > ||A^T A|| (sharp_bounds
+    does not relax it)."""
+    _check_baseline(prob, cfg, "primal-dual")
     r, s = cfg.r, cfg.sigma_or_s
-    if not r * s > prob.gram_norm:
-        raise ConfigInvalid(f"r*s = {r * s} must exceed {prob.gram_norm}")
     q = w.x + (prob.a.T @ w.lam) / r
     x_new = prox_constrained(prob.theta, prob.x_set, r, q)
     lam_new = w.lam - (prob.a @ (2.0 * x_new - w.x) - prob.b) / s
     return PrimalDualPoint(x_new, lam_new)
 
 
-def _require_two_block(prob, label: str):
-    if not isinstance(prob, SeparableProblem) or len(prob.blocks) != 2:
-        raise ConfigInvalid(f"{label} expects a two-block problem")
-    if prob.sense is not Sense.EQUALITY:
-        raise ConfigInvalid(f"{label} supports equality constraints only")
+def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
+    """ADMM block update: minimize theta_i(x) + (r/2)||A_i x - c - lam/r||^2
+    over X_i with the inner prox-gradient solver."""
+    r = cfg.r
+    return _fista(
+        blk.theta, blk.x_set, lambda z: blk.a.T @ (r * (blk.a @ z - c) - lam),
+        r * gram, x0, cfg.inner_tol, cfg.inner_max_iters,
+    )
 
 
 def admm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """Gauss-Seidel ADMM sweep; both block subproblems go through the
     inner prox-gradient solver."""
-    _require_two_block(prob, "admm")
-    r = cfg.r
+    _check_baseline(prob, cfg, "admm")
     blk1, blk2 = prob.blocks
     x1, x2 = prob.split(w.x)
-    lam = w.lam
     g1, g2 = prob.block_gram_norms
-
-    c1 = prob.b - blk2.a @ x2
-    x1_new = _fista(
-        blk1.theta, blk1.x_set,
-        lambda z: blk1.a.T @ (r * (blk1.a @ z - c1) - lam),
-        r * g1, x1, cfg.inner_tol, cfg.inner_max_iters,
-    )
-    c2 = prob.b - blk1.a @ x1_new
-    x2_new = _fista(
-        blk2.theta, blk2.x_set,
-        lambda z: blk2.a.T @ (r * (blk2.a @ z - c2) - lam),
-        r * g2, x2, cfg.inner_tol, cfg.inner_max_iters,
-    )
-    lam_new = lam - r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
+    x1_new = _block_fista(blk1, prob.b - blk2.a @ x2, w.lam, g1, x1, cfg)
+    x2_new = _block_fista(blk2, prob.b - blk1.a @ x1_new, w.lam, g2, x2, cfg)
+    lam_new = w.lam - cfg.r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
     return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
 
 
 def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """ADMM with a linearized second block: x2 is a single prox with
     weight s; requires s > r ||A2^T A2|| (0.75 factor when sharp)."""
-    _require_two_block(prob, "ladmm")
+    _check_baseline(prob, cfg, "ladmm")
     r, s = cfg.r, cfg.sigma_or_s
     blk1, blk2 = prob.blocks
-    g2 = prob.block_gram_norms[1]
-    bound = (0.75 if cfg.sharp_bounds else 1.0) * r * g2
-    if not s > bound:
-        raise ConfigInvalid(f"s = {s} must exceed {bound}")
     x1, x2 = prob.split(w.x)
-    lam = w.lam
-
-    c1 = prob.b - blk2.a @ x2
-    x1_new = _fista(
-        blk1.theta, blk1.x_set,
-        lambda z: blk1.a.T @ (r * (blk1.a @ z - c1) - lam),
-        r * prob.block_gram_norms[0], x1, cfg.inner_tol, cfg.inner_max_iters,
-    )
-    q2 = x2 + (blk2.a.T @ (lam - r * (blk1.a @ x1_new + blk2.a @ x2 - prob.b))) / s
+    x1_new = _block_fista(blk1, prob.b - blk2.a @ x2, w.lam, prob.block_gram_norms[0], x1, cfg)
+    q2 = x2 + (blk2.a.T @ (w.lam - r * (blk1.a @ x1_new + blk2.a @ x2 - prob.b))) / s
     x2_new = prox_constrained(blk2.theta, blk2.x_set, s, q2)
-    lam_new = lam - r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
+    lam_new = w.lam - r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
     return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
 
 
@@ -508,60 +500,122 @@ def _single_block(prob):
     return flatten_blocks(prob) if isinstance(prob, SeparableProblem) else prob
 
 
-def _driver(prob, cfg):
-    """Resolve (possibly flattened) problem, step closure, metric and
-    whether predictors are tracked."""
-    if isinstance(cfg, BalancedAlmConfig):
-        p = _single_block(prob)
-        sys = build_h0(p.a, cfg.r, cfg.delta)
-        metric = BalancedMetric([p.a], [cfg.r], cfg.delta)
-        relaxed = cfg.alpha != 1.0
+@dataclass(frozen=True)
+class MethodSpec:
+    """One row of the method table; the defaults describe a baseline.
 
-        def step(w):
-            pred = balanced_alm_step(p, cfg, sys, w)
-            return _relax(w, pred, cfg.alpha), pred
+    config(prob, **flags) builds the config from bench.build_config's
+    flags, with validated default stepsizes.  check(prob, cfg) raises for
+    what the method cannot run; a baseline's stepsize(prob, cfg, factor)
+    is its condition as (label, value, bound), met when value > bound.
+    system(prob, cfg) is the dual system the step solves against, and
+    metric(prob, params(cfg)) the metric of the run and of its replay.
+    step(prob, cfg, sys, w) is the next iterate or, when relaxed(cfg), the
+    predictor that run records and relaxes.  The lambdas look steps and
+    builders up in the module when called, so patching one reaches them.
+    """
 
-        return p, step, metric, relaxed
-    if isinstance(cfg, SplitConfig):
-        if not isinstance(prob, SeparableProblem):
-            raise ConfigInvalid("the split method needs a block-structured problem")
-        if len(cfg.r_list) != len(prob.blocks):
-            raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
-        sys = build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta)
-        metric = BalancedMetric([blk.a for blk in prob.blocks], cfg.r_list, cfg.delta)
-        return prob, (lambda w: (split_balanced_step(prob, cfg, sys, w), None)), metric, False
-    if isinstance(cfg, AltSplitConfig):
-        if not isinstance(prob, SeparableProblem) or len(prob.blocks) != 2:
-            raise ConfigInvalid("the alternative split needs exactly two blocks")
-        sys = build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
-        metric = AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
-        return prob, (lambda w: (alt_split_step(prob, cfg, sys, w), None)), metric, False
-    if isinstance(cfg, BaselineConfig):
-        if cfg.method in (Method.ADMM, Method.LINEARIZED_ADMM):
-            _require_two_block(prob, cfg.method.value)
-            step_fn = admm_step if cfg.method is Method.ADMM else ladmm_step
-            if cfg.method is Method.LINEARIZED_ADMM:
-                bound = (0.75 if cfg.sharp_bounds else 1.0) * cfg.r * prob.block_gram_norms[1]
-                if not cfg.sigma_or_s > bound:
-                    raise ConfigInvalid(f"s = {cfg.sigma_or_s} must exceed {bound}")
-            p = prob
-        else:
-            p = _single_block(prob)
-            _require_equality(p, cfg.method.value)
-            step_fn = {
-                Method.CLASSIC_ALM: classic_alm_step,
-                Method.LALM: lalm_step,
-                Method.PRIMAL_DUAL: primal_dual_step,
-            }[cfg.method]
-            if cfg.method is Method.LALM:
-                bound = (0.75 if cfg.sharp_bounds else 1.0) * cfg.r * p.gram_norm
-                if not cfg.sigma_or_s > bound:
-                    raise ConfigInvalid(f"sigma = {cfg.sigma_or_s} must exceed {bound}")
-            if cfg.method is Method.PRIMAL_DUAL and not cfg.r * cfg.sigma_or_s > p.gram_norm:
-                raise ConfigInvalid(f"r*s = {cfg.r * cfg.sigma_or_s} must exceed {p.gram_norm}")
-        metric = IdentityMetric(p.n, p.m)
-        return p, (lambda w: (step_fn(p, cfg, w), None)), metric, False
-    raise ConfigInvalid(f"unknown config type {type(cfg).__name__}")
+    name: str
+    config: Callable
+    step: Callable
+    check: Callable = lambda prob, cfg: _check_baseline(prob, cfg, cfg.method_name)
+    stepsize: Callable | None = None
+    system: Callable = lambda prob, cfg: None
+    params: Callable = lambda cfg: {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds}
+    metric: Callable = lambda prob, params: IdentityMetric(prob.n, prob.m)
+    relaxed: Callable = lambda cfg: False
+    flattens: bool = False  # a SeparableProblem is merged into one block first
+    sharp_bounds: bool = False  # the stepsize condition honours BaselineConfig.sharp_bounds
+
+    def problem(self, prob):
+        """The problem the method runs on."""
+        return _single_block(prob) if self.flattens else prob
+
+
+def _split_config(prob, r, delta, r_list, **_) -> SplitConfig:
+    _require_blocks(prob, "split-balanced")
+    return SplitConfig(tuple(r_list) if r_list else (r,) * len(prob.blocks), delta)
+
+
+def _ladmm_config(prob, r, s, sharp_bounds, inner_tol, inner_max_iters, **_) -> BaselineConfig:
+    _require_blocks(prob, "ladmm", two=True)
+    stepsize = s if s is not None else 1.01 * r * prob.block_gram_norms[1]
+    return BaselineConfig(Method.LINEARIZED_ADMM, r, stepsize, inner_tol, inner_max_iters, sharp_bounds)
+
+
+METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
+    MethodSpec(
+        "balanced-alm",
+        config=lambda prob, r, delta, alpha, **_: BalancedAlmConfig(r, delta, alpha),
+        step=lambda prob, cfg, sys, w: balanced_alm_step(prob, cfg, sys, w),
+        check=lambda prob, cfg: None,
+        system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
+        params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
+        metric=lambda prob, p: BalancedMetric([prob.a], [p["r"]], p["delta"]),
+        relaxed=lambda cfg: cfg.alpha != 1.0,
+        flattens=True,
+    ),
+    MethodSpec(
+        "split-balanced",
+        config=_split_config,
+        step=lambda prob, cfg, sys, w: split_balanced_step(prob, cfg, sys, w),
+        check=_check_split,
+        system=lambda prob, cfg: build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta),
+        params=lambda cfg: {"r_list": list(cfg.r_list), "delta": cfg.delta},
+        metric=lambda prob, p: BalancedMetric([blk.a for blk in prob.blocks], p["r_list"], p["delta"]),
+    ),
+    MethodSpec(
+        "alt-split",
+        config=lambda prob, r, s, delta, **_: AltSplitConfig(r, s if s is not None else r, delta),
+        step=lambda prob, cfg, sys, w: alt_split_step(prob, cfg, sys, w),
+        check=_check_alt_split,
+        system=lambda prob, cfg: build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta),
+        params=lambda cfg: {"r": cfg.r, "s": cfg.s, "delta": cfg.delta},
+        metric=lambda prob, p: AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, p["r"], p["s"], p["delta"]),
+    ),
+    MethodSpec(
+        "classic-alm",
+        config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
+            Method.CLASSIC_ALM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
+        ),
+        step=lambda prob, cfg, sys, w: classic_alm_step(prob, cfg, w),
+        flattens=True,
+    ),
+    MethodSpec(
+        "lalm",
+        config=lambda prob, r, sigma, sharp_bounds, **_: BaselineConfig(
+            Method.LALM, r, sigma if sigma is not None else 1.01 * r * _single_block(prob).gram_norm,
+            sharp_bounds=sharp_bounds,
+        ),
+        step=lambda prob, cfg, sys, w: lalm_step(prob, cfg, w),
+        stepsize=lambda prob, cfg, f: ("sigma", cfg.sigma_or_s, f * cfg.r * prob.gram_norm),
+        flattens=True,
+        sharp_bounds=True,
+    ),
+    MethodSpec(
+        "primal-dual",
+        config=lambda prob, r, s, **_: BaselineConfig(
+            Method.PRIMAL_DUAL, r, s if s is not None else 1.01 * _single_block(prob).gram_norm / r
+        ),
+        step=lambda prob, cfg, sys, w: primal_dual_step(prob, cfg, w),
+        stepsize=lambda prob, cfg, f: ("r*s", cfg.r * cfg.sigma_or_s, f * prob.gram_norm),
+        flattens=True,
+    ),
+    MethodSpec(
+        "admm",
+        config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
+            Method.ADMM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
+        ),
+        step=lambda prob, cfg, sys, w: admm_step(prob, cfg, w),
+    ),
+    MethodSpec(
+        "ladmm",
+        config=_ladmm_config,
+        step=lambda prob, cfg, sys, w: ladmm_step(prob, cfg, w),
+        stepsize=lambda prob, cfg, f: ("s", cfg.sigma_or_s, f * cfg.r * prob.block_gram_norms[1]),
+        sharp_bounds=True,
+    ),
+)}
 
 
 def _check_shapes(prob, w: PrimalDualPoint, label: str) -> None:
@@ -592,10 +646,17 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     """Iterate until every KKT residual falls below stop.kkt_tol or
     stop.max_iters steps are taken.  Records the full trajectory.
 
-    A non-finite KKT residual ends the run at that iterate, unconverged,
-    instead of stepping on to stop.max_iters.
+    cfg's METHODS row is checked before the first step.  A non-finite KKT
+    residual ends the run at that iterate, unconverged, instead of
+    stepping on to stop.max_iters.
     """
-    prob, step, metric, relaxed = _driver(prob, cfg)
+    spec = METHODS.get(getattr(cfg, "method_name", None))
+    if spec is None:
+        raise ConfigInvalid(f"unknown config type {type(cfg).__name__}")
+    prob = spec.problem(prob)
+    spec.check(prob, cfg)
+    sys = spec.system(prob, cfg)
+    metric = spec.metric(prob, spec.params(cfg))
     w = default_start(prob) if w0 is None else _check_start(prob, w0)
 
     def h_dist(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
@@ -608,20 +669,21 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     iterates = [w]
     residuals = [kkt_residual(prob, w)]
     steps_h = [math.nan]
-    predictors = [] if relaxed else None
+    predictors = [] if spec.relaxed(cfg) else None
 
-    converged = residuals[0].within(stop.kkt_tol)
-    while not converged and math.isfinite(residuals[-1].max()) and len(iterates) <= stop.max_iters:
-        w_next, pred = step(w)
+    worst = residuals[0].max()  # nan if any part is nan: never converged, and the loop stops
+    while stop.kkt_tol < worst < math.inf and len(iterates) <= stop.max_iters:
+        w_next = spec.step(prob, cfg, sys, w)
+        if predictors is not None:
+            predictors.append(w_next)
+            w_next = _relax(w, w_next, cfg.alpha)
         iterates.append(w_next)
         residuals.append(kkt_residual(prob, w_next))
         steps_h.append(h_dist(w, w_next))
         if distances is not None:
             distances.append(h_dist(w_next, reference))
-        if predictors is not None:
-            predictors.append(pred)
         w = w_next
-        converged = residuals[-1].within(stop.kkt_tol)
+        worst = residuals[-1].max()
     return RunHistory(
         iterates=iterates,
         residuals=residuals,
@@ -629,5 +691,5 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
         h_distances=distances,
         predictors=predictors,
         metric=metric,
-        converged=converged,
+        converged=worst <= stop.kkt_tol,
     )

@@ -32,6 +32,7 @@ from balm.errors import ConfigInvalid, InvalidDims, SchemaError
 from balm.problems import Problem, SeparableProblem, Sense, kkt_residual
 from balm.prox import Box, L1, Quadratic, WholeSpace
 from balm.solvers import (
+    METHODS,
     AltSplitConfig,
     BalancedAlmConfig,
     BaselineConfig,
@@ -308,6 +309,39 @@ def test_history_serialization_deterministic():
     _, _, _, h2 = _scalar_run()
     p = config_params("balanced-alm", cfg)
     assert serialize_history(h1, "balanced-alm", p) == serialize_history(h2, "balanced-alm", p)
+
+
+REPLAY_CASES = [
+    (name, kind, {})
+    for name, spec in METHODS.items()
+    for kind in (("single", "two-block") if spec.flattens else ("two-block",))
+] + [("balanced-alm", kind, {"alpha": 1.5}) for kind in ("single", "two-block")]
+
+
+@pytest.mark.parametrize("name, kind, flags", REPLAY_CASES, ids=[f"{n}-{k}{'-relaxed' if f else ''}" for n, k, f in REPLAY_CASES])
+def test_history_replay_roundtrip_every_method(tmp_path, name, kind, flags):
+    """run -> table -> history_from_table keeps the residuals and the metric
+    bit for bit; single-block methods also on a two-block instance, which
+    both the run and the replay flatten."""
+    rng = np.random.default_rng(17)
+    if kind == "single":
+        prob, ref = generate_instance("random_qp_eq", (2, 4), seed=17)
+    else:
+        prob, ref = support.two_block_qp(rng, 2, 2, 1)
+    cfg = build_config(name, prob, **flags)
+    hist = run(prob, cfg, StopRule(40, 1e-12), reference=ref)
+    path = str(tmp_path / "hist.csv")
+    write_history(path, hist, name, config_params(name, cfg))
+    meta, cols = read_history_table(path)
+    back = history_from_table(prob, meta, cols)
+    assert back.residuals == hist.residuals
+    for _ in range(5):
+        v = rng.standard_normal(hist.metric.shape[0]) * 10.0 ** rng.uniform(-3, 3)
+        assert back.metric.quad(v) == hist.metric.quad(v)
+    relaxed = flags.get("alpha", 1.0) != 1.0
+    assert (back.predictors is not None) == (hist.predictors is not None) == relaxed
+    for a, b in zip(back.predictors or (), hist.predictors or ()):
+        assert np.array_equal(a.as_array(), b.as_array())
 
 
 def test_read_history_table_rejects_bad_files(tmp_path):

@@ -14,6 +14,7 @@ from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense, default_start, flatten_blocks, kkt_residual
 from balm.prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, WholeSpace, Zero
 from balm.solvers import (
+    METHODS,
     AltSplitConfig,
     AltSplitMetric,
     BalancedAlmConfig,
@@ -551,6 +552,45 @@ def test_run_validates_stepsize_up_front():
     sep = _scalar_two_block()
     with pytest.raises(ConfigInvalid):
         run(sep, BaselineConfig(Method.LINEARIZED_ADMM, 1.0, sigma_or_s=0.5), stop)
+
+
+def _scalar_blocks(k: int) -> SeparableProblem:
+    """k scalar blocks x_i^2/2 sharing sum_i x_i = 1; saddle x_i = lam = 1/k."""
+    blk = Block(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1))
+    return SeparableProblem((blk,) * k, np.ones(1), Sense.EQUALITY)
+
+
+@pytest.mark.parametrize(
+    "prob, cfg",
+    [
+        (support.scalar_problem(), BaselineConfig(Method.LALM, 1.0, sigma_or_s=0.5)),
+        (support.scalar_problem(), BaselineConfig(Method.PRIMAL_DUAL, 1.0, sigma_or_s=0.5)),
+        (_scalar_blocks(2), BaselineConfig(Method.LINEARIZED_ADMM, 1.0, sigma_or_s=0.5)),
+        (_scalar_blocks(2), SplitConfig((1.0, 1.0, 1.0), 0.5)),
+        (_scalar_blocks(3), AltSplitConfig(1.0, 1.0, 0.5)),
+    ],
+    ids=["lalm", "primal-dual", "ladmm", "split-balanced", "alt-split"],
+)
+def test_run_validates_before_the_first_step(prob, cfg):
+    """An invalid config raises even from a start that already meets the
+    tolerance, where no step is taken."""
+    k = len(prob.blocks) if isinstance(prob, SeparableProblem) else 1
+    saddle = PrimalDualPoint(np.full(k, 1.0 / k), np.full(1, 1.0 / k))
+    stop = StopRule(10, 1e-8)
+    assert kkt_residual(prob, saddle).within(stop.kkt_tol)
+    with pytest.raises(ConfigInvalid):
+        run(prob, cfg, stop, w0=saddle)
+
+
+def test_primal_dual_ignores_sharp_bounds():
+    """sharp_bounds relaxes lalm and ladmm only; primal-dual keeps r s > ||A^T A||."""
+    assert [name for name, spec in METHODS.items() if spec.sharp_bounds] == ["lalm", "ladmm"]
+    prob = support.scalar_problem()
+    cfg = BaselineConfig(Method.PRIMAL_DUAL, 1.0, sigma_or_s=0.9, sharp_bounds=True)
+    with pytest.raises(ConfigInvalid):
+        primal_dual_step(prob, cfg, PrimalDualPoint(np.zeros(1), np.zeros(1)))
+    with pytest.raises(ConfigInvalid):
+        run(prob, cfg, StopRule(10, 1e-8))
 
 
 def test_run_rejects_mismatched_start():
