@@ -283,12 +283,19 @@ def parse_problem(text: str):
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad problem file: {exc}") from exc
     ref_doc = doc.get("reference")
-    reference = (
-        None
-        if ref_doc is None
-        else PrimalDualPoint(np.array(ref_doc["x"], dtype=float), np.array(ref_doc["lambda"], dtype=float))
-    )
-    return prob, reference
+    return prob, None if ref_doc is None else _decode_reference(ref_doc, prob)
+
+
+def _decode_reference(doc, prob) -> PrimalDualPoint:
+    """The point {"x": [...], "lambda": [...]} of a problem file or a
+    reference file, checked against prob's dimensions."""
+    try:
+        ref = PrimalDualPoint(np.array(doc["x"], dtype=float), np.array(doc["lambda"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad reference entry: {exc!r}") from exc
+    if ref.x.shape != (prob.n,) or ref.lam.shape != (prob.m,):
+        raise SchemaError(f"reference has shapes {ref.x.shape}/{ref.lam.shape}, expected ({prob.n},)/({prob.m},)")
+    return ref
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -303,21 +310,29 @@ def write_problem(path: str, prob, reference: PrimalDualPoint | None = None) -> 
     atomic_write(path, serialize_problem(prob, reference))
 
 
-def read_problem(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return parse_problem(text)
+
+
+def read_problem(path: str):
+    return parse_problem(_read_text(path))
+
+
+def read_reference(path: str, prob) -> PrimalDualPoint:
+    """A reference point for prob from its own JSON file."""
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"reference file is not valid JSON: {exc}") from exc
+    return _decode_reference(doc, prob)
 
 
 # ---------------------------------------------------------------------------
 # history tables
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def serialize_history(history: RunHistory, method: str, params: dict) -> str:
@@ -341,21 +356,16 @@ def serialize_history(history: RunHistory, method: str, params: dict) -> str:
         cols += [f"px_{i}" for i in range(n)] + [f"plam_{j}" for j in range(m)]
     lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(cols)]
     for k, (w, res) in enumerate(zip(history.iterates, history.residuals)):
-        row = [
-            str(k),
-            _fmt(res.primal),
-            _fmt(res.dual),
-            _fmt(res.complementarity),
-            _fmt(history.successive_h_steps[k]),
-        ]
+        parts = [[res.primal, res.dual, res.complementarity, history.successive_h_steps[k]]]
         if history.h_distances is not None:
-            row.append(_fmt(history.h_distances[k]))
-        row += [_fmt(v) for v in w.x] + [_fmt(v) for v in w.lam]
+            parts.append([history.h_distances[k]])
+        parts += [w.x, w.lam]
         if history.predictors is not None:
             # predictors lead the iterate list by one step; pad the first row
             pred = history.predictors[k - 1] if k >= 1 else history.iterates[0]
-            row += [_fmt(v) for v in pred.x] + [_fmt(v) for v in pred.lam]
-        lines.append(",".join(row))
+            parts += [pred.x, pred.lam]
+        # tolist gives Python floats, whose repr is the shortest round-trip form
+        lines.append(f"{k}," + ",".join(map(repr, np.concatenate(parts).tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -365,11 +375,7 @@ def write_history(path: str, history: RunHistory, method: str, params: dict) -> 
 
 def read_history_table(path: str):
     """Parse a history table into (meta, columns-as-float-lists)."""
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise SchemaError("history table is missing its metadata line")
     try:
@@ -378,14 +384,17 @@ def read_history_table(path: str):
         raise SchemaError(f"bad metadata line: {exc}") from exc
     names = lines[1].split(",")
     cols = {name: [] for name in names}
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(names):
-            raise SchemaError("ragged history table row")
-        for name, val in zip(names, parts):
-            cols[name].append(float(val))
+    try:
+        for ln in lines[2:]:
+            if not ln:
+                continue
+            parts = ln.split(",")
+            if len(parts) != len(names):
+                raise SchemaError("ragged history table row")
+            for name, val in zip(names, parts):
+                cols[name].append(float(val))
+    except ValueError as exc:
+        raise SchemaError(f"bad history table cell: {exc}") from exc
     return meta, cols
 
 
@@ -404,8 +413,13 @@ def metric_for(method: str, params: dict, prob) -> Metric:
 
 def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     """Reconstruct a RunHistory (iterates, predictors, metric) from a
-    parsed table; residuals are recomputed from the iterates."""
-    n, m = meta["n"], meta["m"]
+    parsed table; residuals are recomputed from the iterates.  A table
+    that lacks a field, or does not fit prob, raises SchemaError."""
+    if not isinstance(meta, dict) or not {"n", "m", "method", "params"} <= meta.keys():
+        raise SchemaError("history metadata needs n, m, method and params")
+    n, m, params = meta["n"], meta["m"], meta["params"]
+    if not (type(n) is type(m) is int and (n, m) == (prob.n, prob.m) and isinstance(params, dict)):
+        raise SchemaError(f"history n={n!r}, m={m!r}, params={params!r} do not fit the problem's n={prob.n}, m={prob.m}")
 
     def points(x: str, lam: str, first: int) -> list:
         xs = [cols[f"{x}_{i}"] for i in range(n)]
@@ -415,17 +429,23 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
             for row in range(first, len(cols["k"]))
         ]
 
-    iterates = points("x", "lam", 0)
-    predictors = points("px", "plam", 1) if meta.get("has_predictors") else None
-    spec = _method(meta["method"])
-    run_prob = spec.problem(prob)
+    try:
+        spec = _method(meta["method"])
+        run_prob = spec.problem(prob)
+        iterates = points("x", "lam", 0)
+        predictors = points("px", "plam", 1) if meta.get("has_predictors") else None
+        steps, metric = cols["step_h"], spec.metric(run_prob, params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"history table lacks a column, method or parameter: {exc!r}") from exc
+    if not iterates:
+        raise SchemaError("history table has no rows")
     return RunHistory(
         iterates=iterates,
         residuals=[kkt_residual(run_prob, w) for w in iterates],
-        successive_h_steps=cols["step_h"],
+        successive_h_steps=steps,
         h_distances=cols.get("dist_h"),
         predictors=predictors,
-        metric=spec.metric(run_prob, meta["params"]),
+        metric=metric,
         converged=bool(meta.get("converged")),
     )
 

@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bench
 from .diagnostics import contraction_ledger, vi_gap
 from .errors import BalmError, ConfigInvalid, NoConvergence, SchemaError
-from .problems import PrimalDualPoint, total_objective
+from .problems import total_objective
 from .solvers import METHODS, StopRule, run
 
 EXIT_OK = 0
@@ -116,16 +114,6 @@ def _cmd_matchup(args) -> int:
     return EXIT_OK
 
 
-def _load_reference(args, embedded):
-    if args.reference:
-        import json
-
-        with open(args.reference) as fh:
-            doc = json.load(fh)
-        return PrimalDualPoint(np.array(doc["x"], dtype=float), np.array(doc["lambda"], dtype=float))
-    return embedded
-
-
 def _cmd_certify(args) -> int:
     checks = [tok for tok in args.check.split(",") if tok]
     unknown = set(checks) - {"contraction", "gap"}
@@ -136,7 +124,7 @@ def _cmd_certify(args) -> int:
     history = bench.history_from_table(prob, meta, cols)
     all_ok = True
     if "contraction" in checks:
-        reference = _load_reference(args, embedded)
+        reference = bench.read_reference(args.reference, prob) if args.reference else embedded
         alpha = meta["params"].get("alpha", 1.0)
         certs = contraction_ledger(history, history.metric, reference, alpha=alpha)
         min_slack = min((c.slack for c in certs), default=float("inf"))

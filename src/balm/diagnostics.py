@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InsufficientHistory, MissingReference
 from .linalg import h_quadratic
-from .problems import PrimalDualPoint, SeparableProblem, multiplier_set, total_objective, vi_operator
+from .problems import PrimalDualPoint, multiplier_set, total_objective, vi_operator
 from .prox import contains, project
 
 CONTRACTION_SLACK_TOL = 1e-9
@@ -105,23 +105,15 @@ def contraction_ledger(history, h, w_star: PrimalDualPoint, alpha: float = 1.0) 
 
 
 def _feasible(prob, x: np.ndarray, lam: np.ndarray) -> bool:
-    lam_ok = contains(multiplier_set(prob), lam)
-    if isinstance(prob, SeparableProblem):
-        return lam_ok and all(
-            contains(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))
-        )
-    return lam_ok and contains(prob.x_set, x)
+    # the multiplier test first: in the orthant it rejects most draws
+    return contains(multiplier_set(prob), lam) and all(
+        contains(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))
+    )
 
 
 def _project_feasible(prob, x: np.ndarray, lam: np.ndarray):
-    lam_p = project(multiplier_set(prob), lam)
-    if isinstance(prob, SeparableProblem):
-        x_p = np.concatenate(
-            [project(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))]
-        )
-    else:
-        x_p = project(prob.x_set, x)
-    return x_p, lam_p
+    x_p = np.concatenate([project(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))])
+    return x_p, project(multiplier_set(prob), lam)
 
 
 def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:

@@ -1,8 +1,11 @@
 """Problem containers, the saddle-point operator, and KKT residuals.
 
-A problem couples a separable objective with linear constraints
-A x = b or A x >= b; the multiplier lives in the whole space for
-equalities and in the nonnegative orthant for inequalities.
+A problem couples a separable objective sum_i theta_i(x_i) with linear
+constraints sum_i A_i x_i = b or >= b; the multiplier lives in the whole
+space for equalities and in the nonnegative orthant for inequalities.
+A SeparableProblem holds the blocks (theta_i, X_i, A_i); a Problem is
+the one-block case and its own only block (blocks == (prob,), split(x)
+== [x]), so every function here reads problems blockwise.
 """
 
 from __future__ import annotations
@@ -56,35 +59,6 @@ def _as_rhs(b, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Problem:
-    """min theta(x) s.t. A x = b (or >= b), x in x_set."""
-
-    theta: object
-    x_set: object
-    a: np.ndarray
-    b: np.ndarray
-    sense: Sense
-
-    def __post_init__(self):
-        a = _as_matrix(self.a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _as_rhs(self.b, a.shape[0]))
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
-    @cached_property
-    def gram_norm(self) -> float:
-        """||A^T A||, cached for step-size validity checks."""
-        return spectral_norm_sq(self.a)
-
-
-@dataclass(frozen=True, eq=False)
 class Block:
     """One additive piece of a separable problem: theta_i, X_i and A_i."""
 
@@ -96,8 +70,37 @@ class Block:
         object.__setattr__(self, "a", _as_matrix(self.a))
 
     @property
+    def m(self) -> int:
+        return self.a.shape[0]
+
+    @property
     def n(self) -> int:
         return self.a.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Problem(Block):
+    """min theta(x) s.t. A x = b (or >= b), x in x_set: the one-block case
+    of SeparableProblem, and its own only block."""
+
+    b: np.ndarray
+    sense: Sense
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "b", _as_rhs(self.b, self.m))
+
+    @property
+    def blocks(self) -> tuple:
+        return (self,)
+
+    def split(self, x: np.ndarray) -> list:
+        return [x]
+
+    @cached_property
+    def gram_norm(self) -> float:
+        """||A^T A||, cached for step-size validity checks."""
+        return spectral_norm_sq(self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +124,7 @@ class SeparableProblem:
 
     @property
     def m(self) -> int:
-        return self.blocks[0].a.shape[0]
+        return self.blocks[0].m
 
     @property
     def n(self) -> int:
@@ -189,28 +192,26 @@ def multiplier_set(prob):
 
 
 def coupling(prob, x: np.ndarray) -> np.ndarray:
-    """A x - b, with A read blockwise for separable problems."""
-    if isinstance(prob, SeparableProblem):
-        acc = np.zeros(prob.m)
-        for blk, xi in zip(prob.blocks, prob.split(x)):
-            acc += blk.a @ xi
-        return acc - prob.b
-    return prob.a @ x - prob.b
+    """A x - b = sum_i A_i x_i - b, read blockwise.  The sum starts from
+    the first block's product, so one block gives a x - b bit for bit."""
+    pairs = zip(prob.blocks, prob.split(x))
+    blk, xi = next(pairs)
+    acc = blk.a @ xi
+    for blk, xi in pairs:
+        acc += blk.a @ xi
+    return acc - prob.b
 
 
 def total_objective(prob, x: np.ndarray) -> float:
-    """theta(x), summed over blocks for separable problems."""
-    if isinstance(prob, SeparableProblem):
-        return float(sum(objective_value(blk.theta, xi) for blk, xi in zip(prob.blocks, prob.split(x))))
-    return objective_value(prob.theta, x)
+    """theta(x) = sum_i theta_i(x_i), starting from the first block's value."""
+    values = [objective_value(blk.theta, xi) for blk, xi in zip(prob.blocks, prob.split(x))]
+    return sum(values[1:], values[0])
 
 
 def vi_operator(prob, w: PrimalDualPoint) -> np.ndarray:
     """The saddle-point operator F(w) = (-A^T lambda, A x - b), stacked."""
-    if isinstance(prob, SeparableProblem):
-        tops = [-(blk.a.T @ w.lam) for blk in prob.blocks]
-        return np.concatenate(tops + [coupling(prob, w.x)])
-    return np.concatenate([-(prob.a.T @ w.lam), coupling(prob, w.x)])
+    tops = [-(blk.a.T @ w.lam) for blk in prob.blocks]
+    return np.concatenate(tops + [coupling(prob, w.x)])
 
 
 def lagrangian(prob, w: PrimalDualPoint) -> float:
@@ -245,24 +246,17 @@ def kkt_residual(prob, w: PrimalDualPoint) -> KktResidual:
     else:
         primal = _norm(np.minimum(resid, 0.0))
         comp = float(abs(w.lam @ resid))
-    if isinstance(prob, SeparableProblem):
-        gaps = []
-        for blk, xi in zip(prob.blocks, prob.split(w.x)):
-            target = prox_constrained(blk.theta, blk.x_set, 1.0, xi + blk.a.T @ w.lam)
-            gaps.append(xi - target)
-        dual = _norm(np.concatenate(gaps))
-    else:
-        target = prox_constrained(prob.theta, prob.x_set, 1.0, w.x + prob.a.T @ w.lam)
-        dual = _norm(w.x - target)
+    gaps = [
+        xi - prox_constrained(blk.theta, blk.x_set, 1.0, xi + blk.a.T @ w.lam)
+        for blk, xi in zip(prob.blocks, prob.split(w.x))
+    ]
+    dual = _norm(np.concatenate(gaps) if len(gaps) > 1 else gaps[0])  # one gap needs no copy
     return KktResidual(primal=primal, dual=dual, complementarity=comp)
 
 
 def default_start(prob) -> PrimalDualPoint:
     """Zeros projected onto the primal set, with a zero multiplier."""
-    if isinstance(prob, SeparableProblem):
-        x0 = np.concatenate([project(blk.x_set, np.zeros(blk.n)) for blk in prob.blocks])
-    else:
-        x0 = project(prob.x_set, np.zeros(prob.n))
+    x0 = np.concatenate([project(blk.x_set, np.zeros(blk.n)) for blk in prob.blocks])
     return PrimalDualPoint(x0, np.zeros(prob.m))
 
 

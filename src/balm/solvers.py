@@ -631,13 +631,8 @@ def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
         raise ValueError("start point must be finite")
     if prob.sense is Sense.INEQUALITY and not np.all(w0.lam >= 0):
         raise ValueError("inequality multipliers must start nonnegative")
-    sets = (
-        [(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(w0.x))]
-        if isinstance(prob, SeparableProblem)
-        else [(prob.x_set, w0.x)]
-    )
-    for x_set, xi in sets:
-        if not _set_contains(x_set, xi, tol=1e-12):
+    for blk, xi in zip(prob.blocks, prob.split(w0.x)):
+        if not _set_contains(blk.x_set, xi, tol=1e-12):
             raise ValueError("start point lies outside the primal set")
     return w0
 

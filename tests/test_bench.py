@@ -613,3 +613,132 @@ def test_cli_certify_external_reference(tmp_path, capsys):
     code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction", "--reference", refpath])
     assert code == 0
     assert "contraction: PASS" in capsys.readouterr().out
+
+
+def _solved_instance(tmp_path, capsys):
+    """A problem file with its reference, and a balanced-alm history of it."""
+    ppath = str(tmp_path / "p.json")
+    cli.main(["generate", "--kind", "random_qp_eq", "--m", "2", "--n", "4", "--seed", "3", "--out", ppath])
+    hpath = str(tmp_path / "h.csv")
+    cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--delta", "0.1", "--history", hpath])
+    capsys.readouterr()
+    return ppath, hpath
+
+
+def _assert_io_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        {"x": [0.0] * 4},
+        {"lambda": [0.0] * 2},
+        {"x": [0.0] * 3, "lambda": [0.0] * 2},
+        {"x": [0.0] * 4, "lambda": [0.0]},
+        [1.0],
+    ],
+)
+def test_cli_solve_malformed_embedded_reference_exits_three(tmp_path, capsys, reference):
+    ppath, _ = _solved_instance(tmp_path, capsys)
+    doc = json.loads(open(ppath).read())
+    doc["reference"] = reference
+    with open(ppath, "w") as fh:
+        json.dump(doc, fh)
+    _assert_io_error(cli.main(["solve", "--problem", ppath, "--method", "balanced-alm"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"x": [0, 0, 0, 0]}',
+        "not json{",
+        '{"x": [0, 0, 0], "lambda": [0, 0]}',
+        '{"x": [0, 0, 0, 0], "lambda": [0, 0, 0]}',
+        "[0]",
+    ],
+)
+def test_cli_certify_malformed_reference_file_exits_three(tmp_path, capsys, text):
+    ppath, hpath = _solved_instance(tmp_path, capsys)
+    refpath = str(tmp_path / "ref.json")
+    with open(refpath, "w") as fh:
+        fh.write(text)
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction", "--reference", refpath])
+    _assert_io_error(code, capsys)
+
+
+def _drop_meta(key):
+    def edit(lines):
+        meta = json.loads(lines[0][2:])
+        del meta[key]
+        return ["# " + json.dumps(meta, sort_keys=True)] + lines[1:]
+
+    return edit
+
+
+def _set_meta(key, value):
+    def edit(lines):
+        meta = json.loads(lines[0][2:])
+        meta[key] = value
+        return ["# " + json.dumps(meta, sort_keys=True)] + lines[1:]
+
+    return edit
+
+
+def _drop_column(name):
+    def edit(lines):
+        col = lines[1].split(",").index(name)
+        return [lines[0]] + [",".join(p for i, p in enumerate(ln.split(",")) if i != col) for ln in lines[1:]]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_meta("n"),
+        _drop_meta("m"),
+        _drop_meta("method"),
+        _drop_meta("params"),
+        _set_meta("n", 5),
+        _set_meta("params", [1.0]),
+        _set_meta("params", {"delta": 0.1, "alpha": 1.0}),
+        _drop_column("k"),
+        _drop_column("step_h"),
+        _drop_column("x_2"),
+        _drop_column("lam_1"),
+        _set_meta("method", "nope"),
+        _set_meta("params", {"r": -1.0, "delta": 0.1, "alpha": 1.0}),
+        lambda lines: ["# [1]"] + lines[1:],
+        lambda lines: lines[:2],
+        lambda lines: lines[:2] + ["0,abc" + lines[2][2:]] + lines[3:],
+    ],
+    ids=[
+        "no-n", "no-m", "no-method", "no-params", "wrong-n", "params-list", "params-no-r",
+        "no-k", "no-step_h", "no-x_2", "no-lam_1", "unknown-method", "params-negative-r", "meta-list", "no-rows",
+        "bad-cell",
+    ],
+)
+def test_cli_certify_malformed_history_exits_three(tmp_path, capsys, edit):
+    ppath, hpath = _solved_instance(tmp_path, capsys)
+    lines = open(hpath).read().splitlines()
+    with open(hpath, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction,gap", "--probes", "5"])
+    _assert_io_error(code, capsys)
+
+
+def test_cli_certify_relaxed_history_without_predictor_columns_exits_three(tmp_path, capsys):
+    ppath, _ = _solved_instance(tmp_path, capsys)
+    hpath = str(tmp_path / "relaxed.csv")
+    cli.main(
+        ["solve", "--problem", ppath, "--method", "balanced-alm", "--delta", "0.1", "--alpha", "1.5", "--history", hpath]
+    )
+    lines = open(hpath).read().splitlines()
+    with open(hpath, "w") as fh:
+        fh.write("\n".join(_drop_column("plam_0")(lines)) + "\n")
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction"])
+    _assert_io_error(code, capsys)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from balm.diagnostics import _sample_probe
 from balm.errors import DimensionMismatch
 from balm.problems import (
     Block,
@@ -55,6 +57,16 @@ def test_separable_dims_and_split():
     parts = prob.split(np.arange(float(prob.n)))
     assert sum(p.size for p in parts) == prob.n
     assert np.array_equal(np.concatenate(parts), np.arange(float(prob.n)))
+
+
+def test_problem_is_its_own_only_block():
+    prob = _toy_eq()
+    x = np.array([0.25, -0.5])
+    assert isinstance(prob, Block)
+    assert prob.blocks == (prob,)
+    assert len(prob.split(x)) == 1 and prob.split(x)[0] is x
+    sep = SeparableProblem((Block(prob.theta, prob.x_set, prob.a),), prob.b, prob.sense)
+    assert sep.m == sep.blocks[0].m == prob.m == 1
 
 
 def test_separable_rejects_empty():
@@ -230,3 +242,67 @@ def test_kkt_residual_bits_unchanged_below_overflow():
         target = prox_constrained(prob.theta, prob.x_set, 1.0, w.x + prob.a.T @ w.lam)
         assert res.primal == float(np.linalg.norm(np.minimum(resid, 0.0)))
         assert res.dual == float(np.linalg.norm(w.x - target))
+
+
+_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _one_block_cases(draw):
+    """A Problem over one of every objective and set kind, either sense,
+    entries that include signed zeros, a point and a sampler seed."""
+
+    def vec(k):
+        return np.array(draw(st.lists(_ENTRY, min_size=k, max_size=k)))
+
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    set_kind = draw(st.sampled_from(["whole", "orthant", "box"]))
+    if set_kind == "whole":
+        x_set = WholeSpace()
+    elif set_kind == "orthant":
+        x_set = NonnegativeOrthant()
+    else:
+        lower = vec(n)
+        x_set = Box(lower, lower + np.abs(vec(n)))
+    kind = draw(st.sampled_from(["zero", "l1", "linear", "quadratic", "separable_sum"]))
+    if kind == "zero":
+        theta = Zero()
+    elif kind == "l1":
+        theta = L1(draw(st.one_of(st.just(-0.0), st.floats(0.0, 10.0))))  # -0.0 makes theta(x) = -0.0
+    elif kind == "linear":
+        theta = Linear(vec(n))
+    elif kind == "quadratic":
+        p = np.diag(np.abs(vec(n)))
+        if set_kind == "whole":  # a dense P has an exact prox on the whole space only
+            g = vec(n * n).reshape(n, n)
+            p = p + 0.5 * (g @ g.T + (g @ g.T).T)
+        theta = Quadratic(p, vec(n))
+    else:
+        parts = [Zero(), L1(1.5), Linear(np.array([-2.0])), Quadratic(np.array([[3.0]]), np.array([0.5]))]
+        theta = SeparableSum(tuple(parts[i] for i in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    prob = Problem(theta, x_set, vec(m * n).reshape(m, n), vec(m), draw(st.sampled_from(list(Sense))))
+    return prob, PrimalDualPoint(vec(n), vec(m)), draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(v) -> str:
+    """repr of a value, arrays as lists of floats, so that the sign of zero counts."""
+    if isinstance(v, PrimalDualPoint):
+        return repr((v.x.tolist(), v.lam.tolist()))
+    return repr(v.tolist() if isinstance(v, np.ndarray) else v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_one_block_cases())
+def test_problem_matches_its_one_block_separable_bit_for_bit(case):
+    prob, w, seed = case
+    sep = SeparableProblem((Block(prob.theta, prob.x_set, prob.a),), prob.b, prob.sense)
+    for f in (
+        lambda p: coupling(p, w.x),
+        lambda p: vi_operator(p, w),
+        lambda p: kkt_residual(p, w),
+        lambda p: total_objective(p, w.x),
+        lambda p: lagrangian(p, w),
+        default_start,
+        lambda p: _sample_probe(p, w.as_array(), prob.n, np.random.default_rng(seed)),
+    ):
+        assert _bits(f(prob)) == _bits(f(sep))
