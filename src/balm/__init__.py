@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedObjective,
 )
-from .linalg import Metric, SpdFactor, cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
+from .linalg import Metric, SpdFactor, cholesky_factor, gram_norm_bound, h_quadratic, solve_spd, spectral_norm_sq
 from .prox import (
     Box,
     L1,

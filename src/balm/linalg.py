@@ -3,7 +3,9 @@ norms, and the quadratic form of a metric given densely or as an operator.
 
 SPD solves call LAPACK's triangular solve (dtrtrs) directly, with the
 arguments scipy.linalg.solve_triangular would pass it, so results match
-that route bit for bit without its per-call validation overhead.
+that route bit for bit without its per-call validation overhead.  The
+bound on ||A^T A|| that the stepsize conditions read calls LAPACK's
+symmetric eigensolver (dsyevd) the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dsyevd, dtrtrs
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
@@ -20,6 +22,9 @@ SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-14
 POWER_TOL = 1e-8
 POWER_CAP = 10_000
+GRAM_MARGIN = 4.0
+EPS = float(np.finfo(float).eps)
+SCALE_EXPONENT = 256  # |log2 max|a_ij|| beyond which gram_norm_bound rescales
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,76 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
-def spectral_norm_sq(a: np.ndarray, tol: float = POWER_TOL, max_iters: int = POWER_CAP) -> float:
-    """Largest eigenvalue of A^T A (the squared spectral norm of A).
+def gram_norm_bound(a: np.ndarray) -> float:
+    """A certified upper bound on ||A^T A||, the squared spectral norm of A.
 
-    Power iteration on the Gram matrix, stopped when the Rayleigh
-    quotient is stable to a relative tol.  The starting vector comes
-    from a fixed-seed generator so repeated calls agree bit for bit.
+    The smaller Gram matrix (A A^T when m <= n, else A^T A) has the same
+    largest eigenvalue; LAPACK dsyevd computes its eigenvalues without
+    vectors, and a rounding margin of GRAM_MARGIN (m + n) eps ||A||_F^2
+    lifts the top one above the exact value.  A matrix whose largest
+    entry lies outside 2^+-SCALE_EXPONENT is first scaled by the power of
+    two that brings that entry into [1/2, 1).  The scaling is exact but
+    for entries below 2^-1021 times the largest, whose rounding the margin
+    absorbs, and the result is rounded up when scaled back, so the bound
+    is finite whenever ||A||^2 is representable, +inf when it overflows,
+    and the smallest positive float when it underflows.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    peak = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    if not math.isfinite(peak):
+        raise ValueError("matrix has non-finite entries")
+    if peak == 0.0:
+        raise ValueError("matrix must be nonzero")
+    exponent = math.frexp(peak)[1]
+    if abs(exponent) <= SCALE_EXPONENT:
+        return _gram_top_eigenvalue_bound(a)
+    scaled = _gram_top_eigenvalue_bound(np.ldexp(a, -exponent))
+    try:
+        bound = math.ldexp(scaled, 2 * exponent)
+    except OverflowError:
+        return math.inf
+    if math.ldexp(bound, -2 * exponent) < scaled:
+        bound = math.nextafter(bound, math.inf)  # rounded down into the subnormals
+    return bound
+
+
+def _gram_top_eigenvalue_bound(a: np.ndarray) -> float:
+    """Top eigenvalue of the smaller Gram plus the rounding margin below."""
+    m, n = a.shape
+    gram = a @ a.T if m <= n else a.T @ a
+    frobenius_sq = float(np.trace(gram))
+    # The Gram is symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK wants, and dsyevd overwrites it without a copy.
+    eigenvalues, _, info = dsyevd(gram.T, compute_v=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dsyevd")
+    if info > 0:
+        raise NoConvergence(f"LAPACK dsyevd did not converge ({info} off-diagonal elements)")
+    # Rounding margin, with u = eps / 2, k = max(m, n) the length of each
+    # inner product and j = min(m, n) the order of the Gram:
+    # - the computed Gram G^ satisfies |G^ - G| <= gamma_k |A||A|^T entrywise
+    #   (gamma_k = k u / (1 - k u)), and || |A||A|^T ||_2 <= ||A||_F^2, so
+    #   ||G^ - G||_2 <= gamma_k ||A||_F^2;
+    # - dsyevd's eigenvalues are exact for G^ + E with ||E||_2 <= p(j) u ||G^||_2,
+    #   p(j) a modest multiple of j, and ||G^||_2 <= (1 + gamma_k) ||A||_F^2;
+    # - by Weyl, |lambda^ - ||A||_2^2| <= (k + p(j)) u ||A||_F^2 to first order.
+    # GRAM_MARGIN (m + n) eps = 8 (k + j) u covers that for p(j) up to about
+    # 6 j, with room for trace(G^) standing in for ||A||_F^2 (it is within
+    # gamma_k of it) and for the rounding of the final sum.
+    return float(eigenvalues[-1]) + GRAM_MARGIN * (m + n) * EPS * frobenius_sq
+
+
+def spectral_norm_sq(a: np.ndarray, tol: float = POWER_TOL, max_iters: int = POWER_CAP) -> float:
+    """Power-iteration estimate of the largest eigenvalue of A^T A.
+
+    Power iteration on the n x n Gram matrix, stopped when the Rayleigh
+    quotient is stable to a relative tol.  The quotient approaches the
+    eigenvalue from below, so the estimate can fall short of it by more
+    than tol; the library reads gram_norm_bound instead, and this stays
+    for callers that want the estimate.  The starting vector comes from a
+    fixed-seed generator so repeated calls agree bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:

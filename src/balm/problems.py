@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedCombination
-from .linalg import spectral_norm_sq
+from .linalg import gram_norm_bound
 from .prox import (
     Box,
     L1,
@@ -99,8 +99,10 @@ class Problem(Block):
 
     @cached_property
     def gram_norm(self) -> float:
-        """||A^T A||, cached for step-size validity checks."""
-        return spectral_norm_sq(self.a)
+        """A certified upper bound on ||A^T A|| (linalg.gram_norm_bound),
+        cached; every stepsize default and check, and the inner solver's
+        Lipschitz constant, reads it."""
+        return gram_norm_bound(self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +148,9 @@ class SeparableProblem:
 
     @cached_property
     def block_gram_norms(self) -> tuple:
-        return tuple(spectral_norm_sq(blk.a) for blk in self.blocks)
+        """Certified upper bounds on ||A_i^T A_i||, one per block
+        (linalg.gram_norm_bound), cached like Problem.gram_norm."""
+        return tuple(gram_norm_bound(blk.a) for blk in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)

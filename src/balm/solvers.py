@@ -6,7 +6,10 @@ multiplier update solves a small SPD system (or an LCP for inequality
 constraints) in a shifted Gram metric.  Classic augmented Lagrangian,
 linearized ALM, a primal-dual scheme and (linearized) ADMM are
 included as baselines; their stepsize conditions are enforced, not
-assumed.
+assumed.  Each condition, each default stepsize and each inner FISTA
+Lipschitz constant reads Problem.gram_norm or block_gram_norms, a
+certified upper bound on ||A^T A|| from one eigensolve of the smaller
+Gram matrix, so a stepsize inside the forbidden region is rejected.
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded

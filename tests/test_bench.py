@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,18 @@ def test_metric_for_all_methods():
 
 # ---------------------------------------------------------------------------
 # config factory
+
+
+def test_build_config_stepsize_default_needs_no_n_by_n_gram():
+    # A is 200 x 2000 (3.2 MB); the 2000 x 2000 Gram would take 32 MB
+    prob, _ = generate_instance("basis_pursuit", (200, 2000), seed=1)
+    tracemalloc.start()
+    try:
+        build_config("primal-dual", prob)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 2.0, peak_mb
 
 
 def test_build_config_each_name():

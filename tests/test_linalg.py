@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from balm.bench import generate_instance
 from balm.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
-from balm.linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd, spectral_norm_sq
+from balm.linalg import (
+    EPS,
+    GRAM_MARGIN,
+    SpdFactor,
+    cholesky_factor,
+    gram_norm_bound,
+    h_quadratic,
+    solve_spd,
+    spectral_norm_sq,
+)
 
 import support
 
@@ -125,6 +137,70 @@ def test_spectral_norm_rejects_zero():
 def test_spectral_norm_iteration_cap():
     with pytest.raises(NoConvergence):
         spectral_norm_sq(np.eye(2) + 0.1, max_iters=0)
+
+
+def _svd_norm_sq(a: np.ndarray) -> float:
+    return float(np.linalg.svd(a, compute_uv=False)[0]) ** 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    log_row_scale=st.floats(-3.0, 3.0),
+)
+@example(seed=0, m=1, n=1, rank=1, log_row_scale=0.0)
+@example(seed=1, m=1, n=9, rank=1, log_row_scale=0.0)
+@example(seed=2, m=9, n=1, rank=1, log_row_scale=0.0)
+@example(seed=3, m=8, n=8, rank=2, log_row_scale=3.0)
+@example(seed=4, m=10, n=4, rank=1, log_row_scale=-3.0)
+def test_gram_norm_bound_against_svd_oracle(seed, m, n, rank, log_row_scale):
+    """The bound sits at or above sigma_max^2 and no further above it
+    than the margin it adds plus the eigensolve's own error, which the
+    same margin covers: tall, wide, square, rank-deficient, with rows
+    scaled over 10^+-3."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    a *= 10.0 ** (log_row_scale * rng.uniform(-1.0, 1.0, size=(m, 1)))
+    bound = gram_norm_bound(a)
+    oracle = _svd_norm_sq(a)
+    margin = GRAM_MARGIN * (m + n) * EPS * float(np.sum(a * a))
+    assert oracle <= bound <= oracle + 2.0 * margin
+
+
+def test_gram_norm_bound_exceeds_the_power_estimate_where_it_falls_short():
+    # the power estimate on this instance is 6.9e-7 relative below sigma_max^2
+    prob, _ = generate_instance("basis_pursuit", (60, 300), 1)
+    oracle = _svd_norm_sq(prob.a)
+    assert spectral_norm_sq(prob.a) < oracle <= gram_norm_bound(prob.a) <= oracle * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e150, 1e-150, 1e-200])
+def test_gram_norm_bound_extreme_scales(scale):
+    """Rescaling by a power of two keeps the bound finite and above
+    sigma_max^2 whenever that is representable, and never nan."""
+    base = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    bound = gram_norm_bound(base * scale)
+    assert not math.isnan(bound) and bound > 0.0
+    exact = _svd_norm_sq(base) * scale * scale  # inf or 0 when not representable
+    if math.isinf(exact):
+        assert bound == math.inf
+    else:
+        assert math.isfinite(bound) and bound >= exact
+        if exact > 0.0:
+            assert bound <= exact * (1.0 + 1e-13)
+
+
+def test_gram_norm_bound_rejects_zero_and_non_finite():
+    with pytest.raises(ValueError, match="matrix must be nonzero"):
+        gram_norm_bound(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_norm_bound(np.array([[1.0, np.nan]]))
+    with pytest.raises(DimensionMismatch):
+        gram_norm_bound(np.ones(3))
 
 
 def test_h_quadratic_worked():

@@ -554,6 +554,18 @@ def test_run_validates_stepsize_up_front():
         run(sep, BaselineConfig(Method.LINEARIZED_ADMM, 1.0, sigma_or_s=0.5), stop)
 
 
+def test_run_rejects_stepsizes_between_the_power_estimate_and_the_norm():
+    """sigma_max(A)^2 is 599.7975868 on this instance, and power iteration
+    stops at 599.7971753; a stepsize between the two violates the
+    condition and is rejected."""
+    prob, _ = generate_instance("basis_pursuit", (60, 300), 1)
+    stop = StopRule(10, 1e-8)
+    with pytest.raises(ConfigInvalid):
+        run(prob, BaselineConfig(Method.PRIMAL_DUAL, 1.0, sigma_or_s=599.7973), stop)
+    with pytest.raises(ConfigInvalid):
+        run(prob, BaselineConfig(Method.LALM, 1.0, sigma_or_s=599.7973), stop)
+
+
 def _scalar_blocks(k: int) -> SeparableProblem:
     """k scalar blocks x_i^2/2 sharing sum_i x_i = 1; saddle x_i = lam = 1/k."""
     blk = Block(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1))
