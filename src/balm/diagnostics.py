@@ -7,6 +7,7 @@ replay a finished run without touching the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +123,11 @@ def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:
     rejection loop falls back to projection, which cannot leave the
     ball because the center itself is feasible."""
     dim = center.size
+    inv_dim = 1.0 / dim
     for _ in range(_REJECTION_CAP):
         direction = rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        w = center + (rng.random() ** (1.0 / dim)) * direction
+        direction /= math.sqrt(direction.dot(direction))  # np.linalg.norm, bit for bit
+        w = center + (rng.random() ** inv_dim) * direction
         if _feasible(prob, w[:n], w[n:]):
             return PrimalDualPoint(w[:n], w[n:])
     x_p, lam_p = _project_feasible(prob, w[:n], w[n:])

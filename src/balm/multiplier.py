@@ -11,6 +11,7 @@ Gauss-Seidel takes over whenever that phase does not certify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,7 @@ def solve_lcp(
         raise DimensionMismatch(f"s_k has shape {s_k.shape}, system dim is {sys.m}")
     h = sys.h
     lam_k = np.asarray(lam_k, dtype=float)
-    comp_tol = tol * (1.0 + float(np.linalg.norm(s_k)))
+    comp_tol = tol * (1.0 + math.sqrt(s_k.dot(s_k)))  # np.linalg.norm, bit for bit
 
     def certified(lam):
         y = h @ (lam - lam_k) + s_k

@@ -152,6 +152,13 @@ class SeparableProblem:
         (linalg.gram_norm_bound), cached like Problem.gram_norm."""
         return tuple(gram_norm_bound(blk.a) for blk in self.blocks)
 
+    @cached_property
+    def flat(self) -> Problem:
+        """The equivalent single-block problem (flatten_blocks), built once:
+        a flattening method's stepsize default, its run and its replay all
+        read this copy, and with it one cached gram_norm."""
+        return flatten_blocks(self)
+
 
 @dataclass(frozen=True, eq=False)
 class PrimalDualPoint:
@@ -200,9 +207,9 @@ def coupling(prob, x: np.ndarray) -> np.ndarray:
     the first block's product, so one block gives a x - b bit for bit."""
     pairs = zip(prob.blocks, prob.split(x))
     blk, xi = next(pairs)
-    acc = blk.a @ xi
+    acc = blk.a.dot(xi)
     for blk, xi in pairs:
-        acc += blk.a @ xi
+        acc += blk.a.dot(xi)
     return acc - prob.b
 
 
@@ -236,23 +243,55 @@ def _norm(v: np.ndarray) -> float:
     return out
 
 
-def kkt_residual(prob, w: PrimalDualPoint) -> KktResidual:
+class PointProducts:
+    """The matrix products at one point w, each computed at most once:
+    A x - b (resid) and A_i^T lambda for every block i (at_lam).
+
+    run keeps one for the current iterate and hands it to the step and to
+    kkt_residual; whichever reads an entry first fills it, so the
+    residual's A^T lambda is the next step's.  A caller that already holds
+    A x - b passes it as resid.  run keeps only the current iterate's, so
+    a history stores none.
+    """
+
+    __slots__ = ("prob", "w", "_resid", "_at_lam")
+
+    def __init__(self, prob, w: PrimalDualPoint, resid: np.ndarray | None = None):
+        self.prob, self.w, self._resid = prob, w, resid
+        self._at_lam = [None] * len(prob.blocks)
+
+    def resid(self) -> np.ndarray:
+        if self._resid is None:
+            self._resid = coupling(self.prob, self.w.x)
+        return self._resid
+
+    def at_lam(self, i: int = 0) -> np.ndarray:
+        out = self._at_lam[i]
+        if out is None:
+            out = self._at_lam[i] = self.prob.blocks[i].a.T.dot(self.w.lam)
+        return out
+
+
+def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None) -> KktResidual:
     """Primal, dual and complementarity residual norms at w.
 
     The dual residual is the prox-based fixed-point gap
     ||x - prox(theta, X, 1, x + A^T lambda)||; it vanishes exactly at
-    stationary points of the Lagrangian over X.
+    stationary points of the Lagrangian over X.  products, when given,
+    holds w's A x - b and A_i^T lambda (PointProducts(prob, w)); the
+    residual reuses what it holds and leaves in it what it computes.
     """
-    resid = coupling(prob, w.x)
+    at = PointProducts(prob, w) if products is None else products
+    resid = at.resid()
     if prob.sense is Sense.EQUALITY:
         primal = _norm(resid)
         comp = 0.0
     else:
         primal = _norm(np.minimum(resid, 0.0))
-        comp = float(abs(w.lam @ resid))
+        comp = float(abs(w.lam.dot(resid)))
     gaps = [
-        xi - prox_constrained(blk.theta, blk.x_set, 1.0, xi + blk.a.T @ w.lam)
-        for blk, xi in zip(prob.blocks, prob.split(w.x))
+        xi - prox_constrained(blk.theta, blk.x_set, 1.0, xi + at.at_lam(i))
+        for i, (blk, xi) in enumerate(zip(prob.blocks, prob.split(w.x)))
     ]
     dual = _norm(np.concatenate(gaps) if len(gaps) > 1 else gaps[0])  # one gap needs no copy
     return KktResidual(primal=primal, dual=dual, complementarity=comp)

@@ -13,13 +13,14 @@ Gram matrix, so a stepsize inside the forbidden region is rejected.
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
-params.  run, the bench helpers and the CLI all read it.
+params.  run, the bench helpers and the CLI all read it.  run checks a
+method once and then steps through its unchecked kernel; the public
+step functions check their inputs and call the same kernel.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar
@@ -28,9 +29,9 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
-from .linalg import Metric, cholesky_factor, solve_spd
+from .linalg import Metric, SpdFactor, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
-from .problems import PrimalDualPoint, Problem, Sense, SeparableProblem, default_start, flatten_blocks, kkt_residual
+from .problems import PointProducts, PrimalDualPoint, Problem, Sense, SeparableProblem, default_start, kkt_residual
 from .prox import Linear, Quadratic, WholeSpace, Zero, contains as _set_contains, prox_constrained
 
 
@@ -263,8 +264,8 @@ class IdentityMetric(Metric):
 
 
 # ---------------------------------------------------------------------------
-# validity checks, each written once: run calls a method's check before
-# the first step, its public step function on every call
+# validity checks, each written once: run calls a method's check once,
+# before the first step; its public step function calls it on every call
 
 
 def _require_blocks(prob, label: str, two: bool = False) -> None:
@@ -303,7 +304,11 @@ def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# balanced family steps
+# steps.  balanced-alm, split-balanced, alt-split, lalm and primal-dual
+# write their update once, in an unchecked kernel _name(prob, cfg, [sys,]
+# at) that maps the current iterate's PointProducts to the next one's;
+# name_step checks and calls it.  Matrix-vector products here use
+# ndarray.dot, which gives @'s bits with less overhead per call.
 
 
 def _dual_update(sense: Sense, sys: MultiplierSystem, lam, s_k):
@@ -312,14 +317,17 @@ def _dual_update(sense: Sense, sys: MultiplierSystem, lam, s_k):
     return solve_lcp(sys, lam, s_k)
 
 
+def _balanced_alm(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
+    w = at.w
+    x_new = prox_constrained(prob.theta, prob.x_set, cfg.r, w.x + at.at_lam() / cfg.r)
+    s_k = prob.a.dot(2.0 * x_new - w.x) - prob.b
+    return PointProducts(prob, PrimalDualPoint(x_new, _dual_update(prob.sense, sys, w.lam, s_k)))
+
+
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """One unrelaxed step: prox at q = x + (1/r) A^T lam, then the dual
     solve against s = A(2 x_new - x) - b."""
-    q = w.x + (prob.a.T @ w.lam) / cfg.r
-    x_new = prox_constrained(prob.theta, prob.x_set, cfg.r, q)
-    s_k = prob.a @ (2.0 * x_new - w.x) - prob.b
-    lam_new = _dual_update(prob.sense, sys, w.lam, s_k)
-    return PrimalDualPoint(x_new, lam_new)
+    return _balanced_alm(prob, cfg, sys, PointProducts(prob, w)).w
 
 
 def _relax(w: PrimalDualPoint, pred: PrimalDualPoint, alpha: float) -> PrimalDualPoint:
@@ -337,55 +345,62 @@ def generalized_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSyste
     return _relax(w, balanced_alm_step(prob, cfg, sys, w), cfg.alpha)
 
 
+def _split_balanced(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
+    w = at.w
+    s_acc = np.zeros(prob.m)
+    new_xs = []
+    for i, (blk, xi, r_i) in enumerate(zip(prob.blocks, prob.split(w.x), cfg.r_list)):
+        xi_new = prox_constrained(blk.theta, blk.x_set, r_i, xi + at.at_lam(i) / r_i)
+        new_xs.append(xi_new)
+        s_acc += blk.a.dot(2.0 * xi_new - xi)
+    lam_new = _dual_update(prob.sense, sys, w.lam, s_acc - prob.b)
+    return PointProducts(prob, PrimalDualPoint(np.concatenate(new_xs), lam_new))
+
+
 def split_balanced_step(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Parallel per-block proxes, then one shared dual solve."""
     _check_split(prob, cfg)
-    xs = prob.split(w.x)
-    s_acc = np.zeros(prob.m)
-    new_xs = []
-    for blk, xi, r_i in zip(prob.blocks, xs, cfg.r_list):
-        q_i = xi + (blk.a.T @ w.lam) / r_i
-        xi_new = prox_constrained(blk.theta, blk.x_set, r_i, q_i)
-        new_xs.append(xi_new)
-        s_acc += blk.a @ (2.0 * xi_new - xi)
-    lam_new = _dual_update(prob.sense, sys, w.lam, s_acc - prob.b)
-    return PrimalDualPoint(np.concatenate(new_xs), lam_new)
+    return _split_balanced(prob, cfg, sys, PointProducts(prob, w)).w
 
 
-_alt_split_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+@dataclass(frozen=True)
+class AltSplitSystem:
+    """What an alt-split step solves against: the dual system (build_h2),
+    block 1's shift r A1^T A1 + delta I and the factor of P1 + shift."""
+
+    dual: MultiplierSystem
+    shift: np.ndarray
+    factor: SpdFactor
 
 
-def _alt_split_system(prob: SeparableProblem, cfg: AltSplitConfig):
-    """Shift matrix r A1^T A1 + delta I and the factor of (P1 + shift),
-    cached per problem and (r, delta)."""
-    per_prob = _alt_split_cache.setdefault(prob, {})
-    key = (cfg.r, cfg.delta)
-    entry = per_prob.get(key)
-    if entry is None:
-        blk1 = prob.blocks[0]
-        g1 = blk1.a.T @ blk1.a
-        g1 = 0.5 * (g1 + g1.T)
-        shift = cfg.r * g1 + cfg.delta * np.eye(blk1.n)
-        p1 = blk1.theta.p if isinstance(blk1.theta, Quadratic) else np.zeros((blk1.n, blk1.n))
-        entry = (shift, cholesky_factor(shift + p1))
-        per_prob[key] = entry
-    return entry
+def _alt_split_system(prob: SeparableProblem, cfg: AltSplitConfig, dual: MultiplierSystem) -> AltSplitSystem:
+    blk1 = prob.blocks[0]
+    g1 = blk1.a.T @ blk1.a
+    g1 = 0.5 * (g1 + g1.T)
+    shift = cfg.r * g1 + cfg.delta * np.eye(blk1.n)
+    p1 = blk1.theta.p if isinstance(blk1.theta, Quadratic) else np.zeros((blk1.n, blk1.n))
+    return AltSplitSystem(dual, shift, cholesky_factor(shift + p1))
+
+
+def _alt_split(prob: SeparableProblem, cfg: AltSplitConfig, sys: AltSplitSystem, at: PointProducts) -> PointProducts:
+    w = at.w
+    blk1, blk2 = prob.blocks
+    x1, x2 = prob.split(w.x)
+    c1 = blk1.theta.c if isinstance(blk1.theta, (Quadratic, Linear)) else np.zeros(blk1.n)
+    x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(x1))
+    x2_new = prox_constrained(blk2.theta, blk2.x_set, cfg.s, x2 + at.at_lam(1) / cfg.s)
+    s_k = blk1.a.dot(2.0 * x1_new - x1) + blk2.a.dot(2.0 * x2_new - x2) - prob.b
+    lam_new = _dual_update(prob.sense, sys.dual, w.lam, s_k)
+    return PointProducts(prob, PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new))
 
 
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Two-block step: regularized normal equations for block 1, a prox
-    for block 2, then the shared dual solve."""
+    for block 2, then the shared dual solve against sys (build_h2).
+    Builds and factors block 1's system on every call; run builds it
+    once, in the METHODS row's system."""
     _check_alt_split(prob, cfg)
-    blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(w.x)
-    shift, factor = _alt_split_system(prob, cfg)
-    c1 = blk1.theta.c if isinstance(blk1.theta, (Quadratic, Linear)) else np.zeros(blk1.n)
-    x1_new = solve_spd(factor, blk1.a.T @ w.lam - c1 + shift @ x1)
-    q2 = x2 + (blk2.a.T @ w.lam) / cfg.s
-    x2_new = prox_constrained(blk2.theta, blk2.x_set, cfg.s, q2)
-    s_k = blk1.a @ (2.0 * x1_new - x1) + blk2.a @ (2.0 * x2_new - x2) - prob.b
-    lam_new = _dual_update(prob.sense, sys, w.lam, s_k)
-    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
+    return _alt_split(prob, cfg, _alt_split_system(prob, cfg, sys), PointProducts(prob, w)).w
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +412,9 @@ def _fista(theta, x_set, grad, lipschitz: float, x0: np.ndarray, tol: float, cap
 
     Stops when the composite optimality residual
     L (y - x_new) + grad(x_new) - grad(y)  (a subgradient of the full
-    objective at x_new) drops below tol * (1 + ||x_new||).
+    objective at x_new) drops below tol * (1 + ||x_new||).  Norms are
+    sqrt(v . v), np.linalg.norm's value for a 1-d array bit for bit
+    (inf once the squares overflow) without its argument handling.
     """
     lip = max(lipschitz, 1e-12)
     x = np.asarray(x0, dtype=float).copy()
@@ -406,13 +423,15 @@ def _fista(theta, x_set, grad, lipschitz: float, x0: np.ndarray, tol: float, cap
     for _ in range(cap):
         g_y = grad(y)
         x_new = prox_constrained(theta, x_set, lip, y - g_y / lip)
-        opt = lip * (y - x_new) + grad(x_new) - g_y
-        if np.linalg.norm(opt) <= tol * (1.0 + np.linalg.norm(x_new)):
+        back = y - x_new
+        opt = lip * back + grad(x_new) - g_y
+        if math.sqrt(opt.dot(opt)) <= tol * (1.0 + math.sqrt(x_new.dot(x_new))):
             return x_new
-        if float((y - x_new) @ (x_new - x)) > 0.0:
+        ahead = x_new - x
+        if float(back.dot(ahead)) > 0.0:
             t = 1.0  # momentum points uphill; restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        y = x_new + ((t - 1.0) / t_new) * ahead
         x = x_new
         t = t_new
     raise InnerNoConvergence(f"inner solver exceeded {cap} iterations")
@@ -427,11 +446,19 @@ def classic_alm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> 
     a = prob.a
 
     def grad(x):
-        return r * (a.T @ (a @ x - d))
+        return r * a.T.dot(a.dot(x) - d)
 
     x_new = _fista(prob.theta, prob.x_set, grad, r * prob.gram_norm, w.x, cfg.inner_tol, cfg.inner_max_iters)
-    lam_new = w.lam - r * (a @ x_new - prob.b)
+    lam_new = w.lam - r * (a.dot(x_new) - prob.b)
     return PrimalDualPoint(x_new, lam_new)
+
+
+def _lalm(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
+    w, r, sigma = at.w, cfg.r, cfg.sigma_or_s
+    v = w.x + prob.a.T.dot(w.lam - r * at.resid()) / sigma
+    x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
+    resid = prob.a.dot(x_new) - prob.b  # the next iterate's A x - b
+    return PointProducts(prob, PrimalDualPoint(x_new, w.lam - r * resid), resid)
 
 
 def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -439,11 +466,14 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
     augmented term; requires sigma > r ||A^T A|| (0.75 factor when
     sharp_bounds is set)."""
     _check_baseline(prob, cfg, "lalm")
-    r, sigma = cfg.r, cfg.sigma_or_s
-    v = w.x + (prob.a.T @ (w.lam - r * (prob.a @ w.x - prob.b))) / sigma
-    x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
-    lam_new = w.lam - r * (prob.a @ x_new - prob.b)
-    return PrimalDualPoint(x_new, lam_new)
+    return _lalm(prob, cfg, PointProducts(prob, w)).w
+
+
+def _primal_dual(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
+    w, r, s = at.w, cfg.r, cfg.sigma_or_s
+    x_new = prox_constrained(prob.theta, prob.x_set, r, w.x + at.at_lam() / r)
+    lam_new = w.lam - (prob.a.dot(2.0 * x_new - w.x) - prob.b) / s
+    return PointProducts(prob, PrimalDualPoint(x_new, lam_new))
 
 
 def primal_dual_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -451,11 +481,7 @@ def primal_dual_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> 
     a scalar dual stepsize 1/s; requires r s > ||A^T A|| (sharp_bounds
     does not relax it)."""
     _check_baseline(prob, cfg, "primal-dual")
-    r, s = cfg.r, cfg.sigma_or_s
-    q = w.x + (prob.a.T @ w.lam) / r
-    x_new = prox_constrained(prob.theta, prob.x_set, r, q)
-    lam_new = w.lam - (prob.a @ (2.0 * x_new - w.x) - prob.b) / s
-    return PrimalDualPoint(x_new, lam_new)
+    return _primal_dual(prob, cfg, PointProducts(prob, w)).w
 
 
 def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
@@ -463,7 +489,7 @@ def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarra
     over X_i with the inner prox-gradient solver."""
     r = cfg.r
     return _fista(
-        blk.theta, blk.x_set, lambda z: blk.a.T @ (r * (blk.a @ z - c) - lam),
+        blk.theta, blk.x_set, lambda z: blk.a.T.dot(r * (blk.a.dot(z) - c) - lam),
         r * gram, x0, cfg.inner_tol, cfg.inner_max_iters,
     )
 
@@ -475,9 +501,9 @@ def admm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -
     blk1, blk2 = prob.blocks
     x1, x2 = prob.split(w.x)
     g1, g2 = prob.block_gram_norms
-    x1_new = _block_fista(blk1, prob.b - blk2.a @ x2, w.lam, g1, x1, cfg)
-    x2_new = _block_fista(blk2, prob.b - blk1.a @ x1_new, w.lam, g2, x2, cfg)
-    lam_new = w.lam - cfg.r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
+    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, g1, x1, cfg)
+    x2_new = _block_fista(blk2, prob.b - blk1.a.dot(x1_new), w.lam, g2, x2, cfg)
+    lam_new = w.lam - cfg.r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
     return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
 
 
@@ -488,10 +514,10 @@ def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) 
     r, s = cfg.r, cfg.sigma_or_s
     blk1, blk2 = prob.blocks
     x1, x2 = prob.split(w.x)
-    x1_new = _block_fista(blk1, prob.b - blk2.a @ x2, w.lam, prob.block_gram_norms[0], x1, cfg)
-    q2 = x2 + (blk2.a.T @ (w.lam - r * (blk1.a @ x1_new + blk2.a @ x2 - prob.b))) / s
+    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, prob.block_gram_norms[0], x1, cfg)
+    q2 = x2 + blk2.a.T.dot(w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2) - prob.b)) / s
     x2_new = prox_constrained(blk2.theta, blk2.x_set, s, q2)
-    lam_new = w.lam - r * (blk1.a @ x1_new + blk2.a @ x2_new - prob.b)
+    lam_new = w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
     return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
 
 
@@ -500,7 +526,7 @@ def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) 
 
 
 def _single_block(prob):
-    return flatten_blocks(prob) if isinstance(prob, SeparableProblem) else prob
+    return prob.flat if isinstance(prob, SeparableProblem) else prob
 
 
 @dataclass(frozen=True)
@@ -509,13 +535,18 @@ class MethodSpec:
 
     config(prob, **flags) builds the config from bench.build_config's
     flags, with validated default stepsizes.  check(prob, cfg) raises for
-    what the method cannot run; a baseline's stepsize(prob, cfg, factor)
-    is its condition as (label, value, bound), met when value > bound.
-    system(prob, cfg) is the dual system the step solves against, and
-    metric(prob, params(cfg)) the metric of the run and of its replay.
-    step(prob, cfg, sys, w) is the next iterate or, when relaxed(cfg), the
-    predictor that run records and relaxes.  The lambdas look steps and
-    builders up in the module when called, so patching one reaches them.
+    what the method cannot run; run calls it once, before the first step.
+    A baseline's stepsize(prob, cfg, factor) is its condition as (label,
+    value, bound), met when value > bound.  system(prob, cfg) is what the
+    step solves against, built once per run: the dual system, and for
+    alt-split block 1's factor too.  metric(prob, params(cfg)) is the
+    metric of the run and of its replay.  step(prob, cfg, sys, at) maps
+    the current iterate's PointProducts to those of the next iterate or,
+    when relaxed(cfg), of the predictor that run records and relaxes; it
+    calls the method's kernel, or the public step of classic-alm, admm
+    and ladmm, whose inner FISTA loops dwarf the check.  The lambdas look
+    kernels, steps and builders up in the module when called, so patching
+    one reaches them.
     """
 
     name: str
@@ -550,7 +581,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         "balanced-alm",
         config=lambda prob, r, delta, alpha, **_: BalancedAlmConfig(r, delta, alpha),
-        step=lambda prob, cfg, sys, w: balanced_alm_step(prob, cfg, sys, w),
+        step=lambda prob, cfg, sys, at: _balanced_alm(prob, cfg, sys, at),
         check=lambda prob, cfg: None,
         system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
         params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
@@ -561,7 +592,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         "split-balanced",
         config=_split_config,
-        step=lambda prob, cfg, sys, w: split_balanced_step(prob, cfg, sys, w),
+        step=lambda prob, cfg, sys, at: _split_balanced(prob, cfg, sys, at),
         check=_check_split,
         system=lambda prob, cfg: build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta),
         params=lambda cfg: {"r_list": list(cfg.r_list), "delta": cfg.delta},
@@ -570,9 +601,9 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         "alt-split",
         config=lambda prob, r, s, delta, **_: AltSplitConfig(r, s if s is not None else r, delta),
-        step=lambda prob, cfg, sys, w: alt_split_step(prob, cfg, sys, w),
+        step=lambda prob, cfg, sys, at: _alt_split(prob, cfg, sys, at),
         check=_check_alt_split,
-        system=lambda prob, cfg: build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta),
+        system=lambda prob, cfg: _alt_split_system(prob, cfg, build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)),
         params=lambda cfg: {"r": cfg.r, "s": cfg.s, "delta": cfg.delta},
         metric=lambda prob, p: AltSplitMetric(prob.blocks[0].a, prob.blocks[1].a, p["r"], p["s"], p["delta"]),
     ),
@@ -581,7 +612,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
             Method.CLASSIC_ALM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
-        step=lambda prob, cfg, sys, w: classic_alm_step(prob, cfg, w),
+        step=lambda prob, cfg, sys, at: PointProducts(prob, classic_alm_step(prob, cfg, at.w)),
         flattens=True,
     ),
     MethodSpec(
@@ -590,7 +621,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
             Method.LALM, r, sigma if sigma is not None else 1.01 * r * _single_block(prob).gram_norm,
             sharp_bounds=sharp_bounds,
         ),
-        step=lambda prob, cfg, sys, w: lalm_step(prob, cfg, w),
+        step=lambda prob, cfg, sys, at: _lalm(prob, cfg, at),
         stepsize=lambda prob, cfg, f: ("sigma", cfg.sigma_or_s, f * cfg.r * prob.gram_norm),
         flattens=True,
         sharp_bounds=True,
@@ -600,7 +631,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         config=lambda prob, r, s, **_: BaselineConfig(
             Method.PRIMAL_DUAL, r, s if s is not None else 1.01 * _single_block(prob).gram_norm / r
         ),
-        step=lambda prob, cfg, sys, w: primal_dual_step(prob, cfg, w),
+        step=lambda prob, cfg, sys, at: _primal_dual(prob, cfg, at),
         stepsize=lambda prob, cfg, f: ("r*s", cfg.r * cfg.sigma_or_s, f * prob.gram_norm),
         flattens=True,
     ),
@@ -609,12 +640,12 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
             Method.ADMM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
-        step=lambda prob, cfg, sys, w: admm_step(prob, cfg, w),
+        step=lambda prob, cfg, sys, at: PointProducts(prob, admm_step(prob, cfg, at.w)),
     ),
     MethodSpec(
         "ladmm",
         config=_ladmm_config,
-        step=lambda prob, cfg, sys, w: ladmm_step(prob, cfg, w),
+        step=lambda prob, cfg, sys, at: PointProducts(prob, ladmm_step(prob, cfg, at.w)),
         stepsize=lambda prob, cfg, f: ("s", cfg.sigma_or_s, f * cfg.r * prob.block_gram_norms[1]),
         sharp_bounds=True,
     ),
@@ -644,9 +675,11 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     """Iterate until every KKT residual falls below stop.kkt_tol or
     stop.max_iters steps are taken.  Records the full trajectory.
 
-    cfg's METHODS row is checked before the first step.  A non-finite KKT
-    residual ends the run at that iterate, unconverged, instead of
-    stepping on to stop.max_iters.
+    cfg's METHODS row is checked once, before the first step.  A
+    non-finite KKT residual ends the run at that iterate, unconverged,
+    instead of stepping on to stop.max_iters.  Each iterate's A x - b and
+    A_i^T lambda (PointProducts) are shared by its residual and the step
+    from it, so neither computes one the other has.
     """
     spec = METHODS.get(getattr(cfg, "method_name", None))
     if spec is None:
@@ -664,23 +697,25 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     if reference is not None:
         _check_shapes(prob, reference, "reference")
         distances = [h_dist(w, reference)]
+    at = PointProducts(prob, w)
     iterates = [w]
-    residuals = [kkt_residual(prob, w)]
+    residuals = [kkt_residual(prob, w, at)]
     steps_h = [math.nan]
     predictors = [] if spec.relaxed(cfg) else None
 
     worst = residuals[0].max()  # nan if any part is nan: never converged, and the loop stops
     while stop.kkt_tol < worst < math.inf and len(iterates) <= stop.max_iters:
-        w_next = spec.step(prob, cfg, sys, w)
+        at_next = spec.step(prob, cfg, sys, at)
         if predictors is not None:
-            predictors.append(w_next)
-            w_next = _relax(w, w_next, cfg.alpha)
+            predictors.append(at_next.w)
+            at_next = PointProducts(prob, _relax(w, at_next.w, cfg.alpha))
+        w_next = at_next.w
         iterates.append(w_next)
-        residuals.append(kkt_residual(prob, w_next))
+        residuals.append(kkt_residual(prob, w_next, at_next))
         steps_h.append(h_dist(w, w_next))
         if distances is not None:
             distances.append(h_dist(w_next, reference))
-        w = w_next
+        w, at = w_next, at_next
         worst = residuals[-1].max()
     return RunHistory(
         iterates=iterates,

@@ -1,0 +1,211 @@
+"""run against the public step functions, and the work run does once.
+
+run calls unchecked step kernels and shares each iterate's matrix
+products between its KKT residual and the next step.  The oracle here is
+the plain loop over the public steps, kkt_residual and the metric: run
+must match it bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import balm.problems as problems
+import balm.solvers as solvers
+from balm.bench import build_config, config_params, generate_instance, metric_for
+from balm.errors import BalmError
+from balm.multiplier import build_h0, build_h2, build_hp
+from balm.problems import PrimalDualPoint, SeparableProblem, default_start, flatten_blocks, kkt_residual
+from balm.solvers import (
+    METHODS,
+    StopRule,
+    admm_step,
+    alt_split_step,
+    balanced_alm_step,
+    classic_alm_step,
+    ladmm_step,
+    lalm_step,
+    primal_dual_step,
+    run,
+    split_balanced_step,
+)
+
+import support
+
+STOP = StopRule(max_iters=60, kkt_tol=1e-8)
+KINDS = {"random_qp_eq": (4, 10), "basis_pursuit": (6, 20), "lasso_eq": (6, 12), "nonneg_qp_ineq": (4, 10)}
+EQUALITY = ("random_qp_eq", "basis_pursuit", "lasso_eq", "two_block_qp")
+TWO_BLOCK = ("lasso_eq", "two_block_qp")
+ACCEPTS = {
+    "balanced-alm": EQUALITY + ("nonneg_qp_ineq",),
+    "split-balanced": TWO_BLOCK,
+    "alt-split": ("two_block_qp",),
+    "classic-alm": EQUALITY,
+    "lalm": EQUALITY,
+    "primal-dual": EQUALITY,
+    "admm": TWO_BLOCK,
+    "ladmm": TWO_BLOCK,
+}
+
+
+def _instance(kind: str):
+    if kind == "two_block_qp":
+        return support.two_block_qp(np.random.default_rng(1), 4, 3, 3)[0]
+    return generate_instance(kind, KINDS[kind], 1)[0]
+
+
+def _public_step(name: str, prob, cfg):
+    """w -> the method's next iterate (its predictor when relaxed), through
+    its public step function, with the dual system built once."""
+    if name == "balanced-alm":
+        sys = build_h0(prob.a, cfg.r, cfg.delta)
+        return lambda w: balanced_alm_step(prob, cfg, sys, w)
+    if name == "split-balanced":
+        sys = build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta)
+        return lambda w: split_balanced_step(prob, cfg, sys, w)
+    if name == "alt-split":
+        sys = build_h2(prob.blocks[1].a, cfg.r, cfg.s, cfg.delta)
+        return lambda w: alt_split_step(prob, cfg, sys, w)
+    step = {
+        "classic-alm": classic_alm_step,
+        "lalm": lalm_step,
+        "primal-dual": primal_dual_step,
+        "admm": admm_step,
+        "ladmm": ladmm_step,
+    }[name]
+    return lambda w: step(prob, cfg, w)
+
+
+def _public_loop(name: str, prob, cfg, stop: StopRule):
+    """run's loop written with the public steps: (iterates, residuals,
+    step_h, predictors)."""
+    metric = metric_for(name, config_params(name, cfg), prob)
+    if METHODS[name].flattens and isinstance(prob, SeparableProblem):
+        prob = flatten_blocks(prob)
+    step = _public_step(name, prob, cfg)
+    alpha = getattr(cfg, "alpha", 1.0)
+    w = default_start(prob)
+    iterates, residuals, steps_h, predictors = [w], [kkt_residual(prob, w)], [math.nan], []
+    while stop.kkt_tol < residuals[-1].max() < math.inf and len(iterates) <= stop.max_iters:
+        pred = step(w)
+        predictors.append(pred)
+        w_next = pred if alpha == 1.0 else PrimalDualPoint(w.x - alpha * (w.x - pred.x), w.lam - alpha * (w.lam - pred.lam))
+        iterates.append(w_next)
+        residuals.append(kkt_residual(prob, w_next))
+        steps_h.append(math.sqrt(metric.quad_pair(w.x - w_next.x, w.lam - w_next.lam)))
+        w = w_next
+    return iterates, residuals, steps_h, predictors
+
+
+def _same_points(got: list, want: list) -> bool:
+    return len(got) == len(want) and all(
+        (a.x == b.x).all() and (a.lam == b.lam).all() for a, b in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("kind", list(KINDS) + ["two_block_qp"])
+@pytest.mark.parametrize("name", list(METHODS))
+def test_run_matches_the_loop_over_public_steps_bit_for_bit(name, kind, alpha):
+    prob = _instance(kind)
+    if kind not in ACCEPTS[name]:
+        with pytest.raises(BalmError):
+            run(prob, build_config(name, prob, alpha=alpha), STOP)
+        return
+    cfg = build_config(name, prob, alpha=alpha)
+    hist = run(prob, cfg, STOP)
+    iterates, residuals, steps_h, predictors = _public_loop(name, prob, cfg, STOP)
+    assert len(hist.iterates) > 2
+    assert _same_points(hist.iterates, iterates)
+    assert hist.residuals == residuals
+    assert math.isnan(hist.successive_h_steps[0])
+    assert hist.successive_h_steps[1:] == steps_h[1:]
+    if hist.predictors is not None:
+        assert alpha != 1.0 and _same_points(hist.predictors, predictors)
+
+
+def _counting(monkeypatch, module, attr: str) -> list:
+    calls = []
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_run_enters_kkt_residual_once_per_recorded_iterate(name, monkeypatch):
+    prob = _instance("two_block_qp")
+    cfg = build_config(name, prob, alpha=1.5)
+    calls = _counting(monkeypatch, solvers, "kkt_residual")
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    assert len(calls) == len(hist.iterates) > 2
+
+
+@pytest.mark.parametrize("name", ["lalm", "primal-dual"])
+def test_run_checks_a_baseline_once(name, monkeypatch):
+    prob = _instance("basis_pursuit")
+    cfg = build_config(name, prob)
+    calls = _counting(monkeypatch, solvers, "_check_baseline")
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    assert len(hist.iterates) > 2 and len(calls) == 1
+
+
+def test_alt_split_run_factors_block_one_once(monkeypatch):
+    prob = _instance("two_block_qp")
+    cfg = build_config("alt-split", prob)
+    calls = _counting(monkeypatch, solvers, "cholesky_factor")
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    assert len(hist.iterates) > 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["lalm", "primal-dual"])
+def test_a_flattening_baseline_bounds_the_gram_norm_once(name, monkeypatch):
+    prob = _instance("lasso_eq")
+    calls = _counting(monkeypatch, problems, "gram_norm_bound")
+    hist = run(prob, build_config(name, prob), StopRule(max_iters=5, kkt_tol=1e-8))
+    assert len(hist.iterates) > 2 and len(calls) == 1
+
+
+def test_kkt_residual_fills_the_products_it_is_given():
+    prob = _instance("two_block_qp")
+    w = PrimalDualPoint(np.linspace(-1.0, 1.0, prob.n), np.linspace(2.0, 3.0, prob.m))
+    products = problems.PointProducts(prob, w)
+    assert kkt_residual(prob, w, products) == kkt_residual(prob, w)
+    assert (products.resid() == problems.coupling(prob, w.x)).all()
+    for i, blk in enumerate(prob.blocks):
+        assert (products.at_lam(i) == blk.a.T @ w.lam).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-300.0, 300.0))
+def test_sqrt_dot_is_the_numpy_norm_bit_for_bit(n, seed, log_scale):
+    """_fista, the gap sampler and solve_lcp take norms as sqrt(v . v);
+    overflow gives inf, as np.linalg.norm does."""
+    v = np.random.default_rng(seed).standard_normal(n) * 10.0**log_scale
+    with np.errstate(over="ignore", under="ignore"):
+        assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    m=st.integers(1, 80),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-100.0, 100.0),
+)
+def test_dot_is_matmul_bit_for_bit(m, n, seed, log_scale):
+    """The run loop's matrix-vector products use ndarray.dot in place of @."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) * 10.0**log_scale
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    assert (a.dot(x) == a @ x).all()
+    assert (a.T.dot(y) == a.T @ y).all()
+    assert x.dot(x) == x @ x
