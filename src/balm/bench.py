@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalmError, InvalidDims, SchemaError
+from .errors import BalmError, ConfigInvalid, InvalidDims, SchemaError
 from .linalg import Metric, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, solve_lcp
 from .problems import Block, PrimalDualPoint, Problem, Sense, SeparableProblem, kkt_residual, total_objective
@@ -217,7 +217,17 @@ def _decode_set(doc):
     raise SchemaError(f"unknown set kind {kind!r}")
 
 
+def _encode_block(blk) -> dict:
+    return {"objective": _encode_objective(blk.theta), "set": _encode_set(blk.x_set), "a": blk.a.tolist()}
+
+
+def _decode_block(doc) -> tuple:
+    """(theta, x_set, a) of one block's entries, for a Block or a Problem."""
+    return _decode_objective(doc["objective"]), _decode_set(doc["set"]), np.array(doc["a"], dtype=float)
+
+
 def serialize_problem(prob, reference: PrimalDualPoint | None = None) -> str:
+    """A one-block problem keeps objective, set and a at the top level; a SeparableProblem, per block."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "sense": prob.sense.value,
@@ -227,26 +237,9 @@ def serialize_problem(prob, reference: PrimalDualPoint | None = None) -> str:
         else {"x": reference.x.tolist(), "lambda": reference.lam.tolist()},
     }
     if isinstance(prob, SeparableProblem):
-        doc.update(
-            objective=None,
-            set=None,
-            a=None,
-            blocks=[
-                {
-                    "objective": _encode_objective(blk.theta),
-                    "set": _encode_set(blk.x_set),
-                    "a": blk.a.tolist(),
-                }
-                for blk in prob.blocks
-            ],
-        )
+        doc.update(objective=None, set=None, a=None, blocks=[_encode_block(blk) for blk in prob.blocks])
     else:
-        doc.update(
-            objective=_encode_objective(prob.theta),
-            set=_encode_set(prob.x_set),
-            a=prob.a.tolist(),
-            blocks=None,
-        )
+        doc.update(_encode_block(prob), blocks=None)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -263,23 +256,9 @@ def parse_problem(text: str):
         sense = Sense(doc["sense"])
         b = np.array(doc["b"], dtype=float)
         if doc.get("blocks") is not None:
-            blocks = tuple(
-                Block(
-                    _decode_objective(blk["objective"]),
-                    _decode_set(blk["set"]),
-                    np.array(blk["a"], dtype=float),
-                )
-                for blk in doc["blocks"]
-            )
-            prob = SeparableProblem(blocks, b, sense)
+            prob = SeparableProblem(tuple(Block(*_decode_block(blk)) for blk in doc["blocks"]), b, sense)
         else:
-            prob = Problem(
-                _decode_objective(doc["objective"]),
-                _decode_set(doc["set"]),
-                np.array(doc["a"], dtype=float),
-                b,
-                sense,
-            )
+            prob = Problem(*_decode_block(doc), b, sense)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad problem file: {exc}") from exc
     ref_doc = doc.get("reference")
@@ -484,6 +463,9 @@ def config_params(name: str, cfg) -> dict:
 
 @dataclass
 class ReportRow:
+    """One method's outcome: the matchup report's row, whose summary is
+    the line balm solve prints."""
+
     method: str
     status: str
     iterations: int = 0
@@ -495,21 +477,36 @@ class ReportRow:
     error: str | None = None
     history_path: str | None = None
 
-    def line(self) -> str:
-        if self.status == "error":
-            return f"method={self.method} status=error error={self.error!r}"
+    @classmethod
+    def from_run(cls, method: str, prob, history: RunHistory) -> "ReportRow":
+        """The status, iteration count, final residuals and objective of a
+        run of method on prob."""
+        final = history.residuals[-1]
+        status = "converged" if history.converged else "max-iters"
+        return cls(method, status, iterations=len(history.iterates) - 1, primal=final.primal, dual=final.dual,
+                   complementarity=final.complementarity, objective=total_objective(prob, history.iterates[-1].x))
+
+    def summary(self) -> str:
         return (
             f"method={self.method} status={self.status} iterations={self.iterations}"
             f" primal={self.primal:.6e} dual={self.dual:.6e}"
             f" complementarity={self.complementarity:.6e} objective={self.objective:.12e}"
-            f" wall_time={self.wall_time:.3f}s history={self.history_path}"
         )
+
+    def line(self) -> str:
+        if self.status == "error":
+            return f"method={self.method} status=error error={self.error!r}"
+        return f"{self.summary()} wall_time={self.wall_time:.3f}s history={self.history_path}"
 
 
 def run_matchup(problem_path: str, methods, stop: StopRule, report_path: str, **flags) -> list:
     """Run each named method on the same instance from the same start and
     write a summary report plus one history table per method.  A method
-    that raises keeps its error in the report without stopping the rest."""
+    that raises keeps its error in the report without stopping the rest;
+    no method at all is a ConfigInvalid."""
+    methods = list(methods)
+    if not methods:
+        raise ConfigInvalid("no method to run")
     prob, reference = read_problem(problem_path)
     rows = []
     for name in methods:
@@ -518,12 +515,7 @@ def run_matchup(problem_path: str, methods, stop: StopRule, report_path: str, **
         try:
             cfg = build_config(name, prob, **flags)
             history = run(prob, cfg, stop, reference=reference)
-            final = history.residuals[-1]
-            row.status = "converged" if history.converged else "max-iters"
-            row.iterations = len(history.iterates) - 1
-            row.primal, row.dual = final.primal, final.dual
-            row.complementarity = final.complementarity
-            row.objective = total_objective(prob, history.iterates[-1].x)
+            row = ReportRow.from_run(name, prob, history)
             row.history_path = f"{report_path}.{name}.csv"
             write_history(row.history_path, history, name, config_params(name, cfg))
         except (BalmError, ValueError) as exc:

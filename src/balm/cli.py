@@ -12,7 +12,6 @@ import sys
 from . import bench
 from .diagnostics import contraction_ledger, vi_gap
 from .errors import BalmError, ConfigInvalid, NoConvergence, SchemaError
-from .problems import total_objective
 from .solvers import METHODS, StopRule, run
 
 EXIT_OK = 0
@@ -93,14 +92,7 @@ def _cmd_solve(args) -> int:
     history = run(prob, cfg, stop, reference=reference)
     if args.history:
         bench.write_history(args.history, history, args.method, bench.config_params(args.method, cfg))
-    final = history.residuals[-1]
-    status = "converged" if history.converged else "max-iters"
-    print(
-        f"method={args.method} status={status} iterations={len(history.iterates) - 1}"
-        f" primal={final.primal:.6e} dual={final.dual:.6e}"
-        f" complementarity={final.complementarity:.6e}"
-        f" objective={total_objective(prob, history.iterates[-1].x):.12e}"
-    )
+    print(bench.ReportRow.from_run(args.method, prob, history).summary())
     return EXIT_OK if history.converged else EXIT_NO_CONVERGENCE
 
 
@@ -119,6 +111,10 @@ def _cmd_certify(args) -> int:
     unknown = set(checks) - {"contraction", "gap"}
     if unknown:
         raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise ConfigInvalid("--check names no check; give a comma subset of contraction,gap")
+    if args.probes < 1:
+        raise ConfigInvalid(f"--probes must be at least 1, got {args.probes}")
     prob, embedded = bench.read_problem(args.problem)
     meta, cols = bench.read_history_table(args.history)
     history = bench.history_from_table(prob, meta, cols)

@@ -128,7 +128,7 @@ class SeparableProblem:
     def m(self) -> int:
         return self.blocks[0].m
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(blk.n for blk in self.blocks)
 
@@ -205,12 +205,12 @@ def multiplier_set(prob):
 def coupling(prob, x: np.ndarray) -> np.ndarray:
     """A x - b = sum_i A_i x_i - b, read blockwise.  The sum starts from
     the first block's product, so one block gives a x - b bit for bit."""
-    pairs = zip(prob.blocks, prob.split(x))
-    blk, xi = next(pairs)
-    acc = blk.a.dot(xi)
-    for blk, xi in pairs:
-        acc += blk.a.dot(xi)
-    return acc - prob.b
+    blocks, xs = prob.blocks, prob.split(x)
+    acc = blocks[0].a.dot(xs[0])
+    for i in range(1, len(xs)):
+        acc += blocks[i].a.dot(xs[i])
+    acc -= prob.b
+    return acc
 
 
 def total_objective(prob, x: np.ndarray) -> float:
@@ -313,7 +313,7 @@ def flatten_blocks(prob: SeparableProblem) -> Problem:
     a = np.hstack([blk.a for blk in prob.blocks])
     thetas = [blk.theta for blk in prob.blocks]
     if all(isinstance(t, (Quadratic, Linear, Zero)) for t in thetas):
-        theta = _merge_quadratic(prob, thetas)
+        theta = _merge_quadratic(prob)
     elif all(coordinatewise(t) for t in thetas):
         theta = SeparableSum(tuple(_scalar_parts(prob)))
     else:
@@ -321,17 +321,19 @@ def flatten_blocks(prob: SeparableProblem) -> Problem:
     return Problem(theta, _merge_sets(prob), a, prob.b, prob.sense)
 
 
-def _merge_quadratic(prob, thetas):
+def quadratic_terms(theta) -> tuple:
+    """(P, c) with theta(x) = 0.5 x^T P x + c^T x for a Quadratic, Linear or Zero objective; a
+    missing term is the scalar 0.0, which adds and subtracts exactly as an array of zeros does."""
+    if isinstance(theta, Quadratic):
+        return theta.p, theta.c
+    return 0.0, theta.c if isinstance(theta, Linear) else 0.0
+
+
+def _merge_quadratic(prob):
     n = prob.n
-    p = np.zeros((n, n))
-    c = np.zeros(n)
-    at = 0
-    for blk, t in zip(prob.blocks, thetas):
-        if isinstance(t, Quadratic):
-            p[at : at + blk.n, at : at + blk.n] = t.p
-            c[at : at + blk.n] = t.c
-        elif isinstance(t, Linear):
-            c[at : at + blk.n] = t.c
+    p, c, at = np.zeros((n, n)), np.zeros(n), 0
+    for blk in prob.blocks:
+        p[at : at + blk.n, at : at + blk.n], c[at : at + blk.n] = quadratic_terms(blk.theta)
         at += blk.n
     return Quadratic(p, c)
 

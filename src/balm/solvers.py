@@ -1,15 +1,19 @@
 """Solver steps, the method table and the run driver.
 
-The balanced family decouples the objective from the constraint rows:
-the x-update is a plain prox at q = x + (1/r) A^T lam, and the
-multiplier update solves a small SPD system (or an LCP for inequality
-constraints) in a shifted Gram metric.  Classic augmented Lagrangian,
-linearized ALM, a primal-dual scheme and (linearized) ADMM are
-included as baselines; their stepsize conditions are enforced, not
-assumed.  Each condition, each default stepsize and each inner FISTA
-Lipschitz constant reads Problem.gram_norm or block_gram_norms, a
-certified upper bound on ||A^T A|| from one eigensolve of the smaller
-Gram matrix, so a stepsize inside the forbidden region is rejected.
+The balanced family decouples the objective from the constraint rows.
+Its step has two halves, each written once: a prox on each block at
+x_i + A_i^T lam / r_i (_prox_half), then one multiplier solve against
+s = A(2 x_new - x) - b in a shifted Gram metric, SPD for equality
+constraints and an LCP for inequalities (_dual_half).  balanced-alm,
+split-balanced and alt-split differ only in the weights r_i and in
+alt-split's block 1; every A x - b is problems.coupling.  Classic
+augmented Lagrangian, linearized ALM, a primal-dual scheme and
+(linearized) ADMM are included as baselines; their stepsize conditions
+are enforced, not assumed.  Each condition, each default stepsize and
+each inner FISTA Lipschitz constant reads Problem.gram_norm or
+block_gram_norms, a certified upper bound on ||A^T A|| from one
+eigensolve of the smaller Gram matrix, so a stepsize inside the
+forbidden region is rejected.
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
@@ -31,7 +35,9 @@ from scipy.linalg import block_diag
 from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
 from .linalg import Metric, SpdFactor, cholesky_factor, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
-from .problems import PointProducts, PrimalDualPoint, Problem, Sense, SeparableProblem, default_start, kkt_residual
+from .problems import (
+    PointProducts, PrimalDualPoint, Problem, Sense, SeparableProblem, coupling, default_start, kkt_residual, quadratic_terms,
+)
 from .prox import Linear, Quadratic, WholeSpace, Zero, contains as _set_contains, prox_constrained
 
 
@@ -162,10 +168,8 @@ class RunHistory:
 
 
 def balanced_metric(a: np.ndarray, r: float, delta: float) -> np.ndarray:
-    """The PPA metric [[r I, A^T], [A, (1/r) A A^T + delta I]]."""
-    a = np.asarray(a, dtype=float)
-    corner = build_h0(a, r, delta).h
-    return np.block([[r * np.eye(a.shape[1]), a.T], [a, corner]])
+    """The PPA metric [[r I, A^T], [A, (1/r) A A^T + delta I]], split_metric's one-block case."""
+    return split_metric([a], [r], delta)
 
 
 def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
@@ -178,15 +182,20 @@ def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
     return np.block([[top, a.T], [a, corner]])
 
 
+def _block_one_shift(a1: np.ndarray, r: float, delta: float) -> np.ndarray:
+    """Alt-split's block-1 term r A1^T A1 + delta I, A1^T A1 symmetrized
+    exactly: in its metric and in its block-1 system."""
+    g1 = a1.T @ a1
+    return r * (0.5 * (g1 + g1.T)) + delta * np.eye(a1.shape[1])
+
+
 def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: float) -> np.ndarray:
     """Metric of the prox-one-block variant; the first block carries its
     own Gram regularization r A1^T A1 + delta I."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     corner = build_h2(a2, r, s, delta).h
-    g1 = a1.T @ a1
-    g1 = 0.5 * (g1 + g1.T)
-    top = block_diag(r * g1 + delta * np.eye(a1.shape[1]), s * np.eye(a2.shape[1]))
+    top = block_diag(_block_one_shift(a1, r, delta), s * np.eye(a2.shape[1]))
     a = np.hstack([a1, a2])
     return np.block([[top, a.T], [a, corner]])
 
@@ -304,24 +313,42 @@ def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# steps.  balanced-alm, split-balanced, alt-split, lalm and primal-dual
-# write their update once, in an unchecked kernel _name(prob, cfg, [sys,]
-# at) that maps the current iterate's PointProducts to the next one's;
-# name_step checks and calls it.  Matrix-vector products here use
-# ndarray.dot, which gives @'s bits with less overhead per call.
+# steps.  run steps through unchecked kernels _name(prob, cfg, [sys,] at),
+# which map the current iterate's PointProducts to the next one's;
+# name_step checks and calls the same kernel.  primal-dual takes the
+# balanced primal half and a scalar dual step.  Matrix-vector products
+# use ndarray.dot, which gives @'s bits with less overhead per call.
 
 
-def _dual_update(sense: Sense, sys: MultiplierSystem, lam, s_k):
-    if sense is Sense.EQUALITY:
-        return solve_equality(sys, lam, s_k)
-    return solve_lcp(sys, lam, s_k)
+def _prox_half(prob, at: PointProducts, weights, first: int) -> list:
+    """The new x_i of each block i from first on: the prox of theta_i over
+    X_i with weight r_i = weights[i - first] at x_i + A_i^T lam / r_i."""
+    blocks, xs = prob.blocks, prob.split(at.w.x)
+    out = []
+    for i in range(first, len(blocks)):
+        blk, r = blocks[i], weights[i - first]
+        out.append(prox_constrained(blk.theta, blk.x_set, r, xs[i] + at.at_lam(i) / r))
+    return out
+
+
+def _extrapolated(prob, at: PointProducts, x_new: np.ndarray) -> np.ndarray:
+    """s = A(2 x_new - x) - b."""
+    d = 2.0 * x_new
+    d -= at.w.x
+    return coupling(prob, d)
+
+
+def _dual_half(prob, sys: MultiplierSystem, at: PointProducts, parts: list) -> PointProducts:
+    """Stack the new blocks into x_new, then solve for the new multiplier
+    against s = A(2 x_new - x) - b: the SPD solve for equality constraints,
+    the LCP for inequalities."""
+    x_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    solve = solve_equality if prob.sense is Sense.EQUALITY else solve_lcp
+    return PointProducts(prob, PrimalDualPoint(x_new, solve(sys, at.w.lam, _extrapolated(prob, at, x_new))))
 
 
 def _balanced_alm(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
-    w = at.w
-    x_new = prox_constrained(prob.theta, prob.x_set, cfg.r, w.x + at.at_lam() / cfg.r)
-    s_k = prob.a.dot(2.0 * x_new - w.x) - prob.b
-    return PointProducts(prob, PrimalDualPoint(x_new, _dual_update(prob.sense, sys, w.lam, s_k)))
+    return _dual_half(prob, sys, at, _prox_half(prob, at, (cfg.r,), 0))
 
 
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -346,15 +373,7 @@ def generalized_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSyste
 
 
 def _split_balanced(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
-    w = at.w
-    s_acc = np.zeros(prob.m)
-    new_xs = []
-    for i, (blk, xi, r_i) in enumerate(zip(prob.blocks, prob.split(w.x), cfg.r_list)):
-        xi_new = prox_constrained(blk.theta, blk.x_set, r_i, xi + at.at_lam(i) / r_i)
-        new_xs.append(xi_new)
-        s_acc += blk.a.dot(2.0 * xi_new - xi)
-    lam_new = _dual_update(prob.sense, sys, w.lam, s_acc - prob.b)
-    return PointProducts(prob, PrimalDualPoint(np.concatenate(new_xs), lam_new))
+    return _dual_half(prob, sys, at, _prox_half(prob, at, cfg.r_list, 0))
 
 
 def split_balanced_step(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -375,23 +394,17 @@ class AltSplitSystem:
 
 def _alt_split_system(prob: SeparableProblem, cfg: AltSplitConfig, dual: MultiplierSystem) -> AltSplitSystem:
     blk1 = prob.blocks[0]
-    g1 = blk1.a.T @ blk1.a
-    g1 = 0.5 * (g1 + g1.T)
-    shift = cfg.r * g1 + cfg.delta * np.eye(blk1.n)
-    p1 = blk1.theta.p if isinstance(blk1.theta, Quadratic) else np.zeros((blk1.n, blk1.n))
-    return AltSplitSystem(dual, shift, cholesky_factor(shift + p1))
+    shift = _block_one_shift(blk1.a, cfg.r, cfg.delta)
+    return AltSplitSystem(dual, shift, cholesky_factor(shift + quadratic_terms(blk1.theta)[0]))
 
 
 def _alt_split(prob: SeparableProblem, cfg: AltSplitConfig, sys: AltSplitSystem, at: PointProducts) -> PointProducts:
-    w = at.w
-    blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(w.x)
-    c1 = blk1.theta.c if isinstance(blk1.theta, (Quadratic, Linear)) else np.zeros(blk1.n)
-    x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(x1))
-    x2_new = prox_constrained(blk2.theta, blk2.x_set, cfg.s, x2 + at.at_lam(1) / cfg.s)
-    s_k = blk1.a.dot(2.0 * x1_new - x1) + blk2.a.dot(2.0 * x2_new - x2) - prob.b
-    lam_new = _dual_update(prob.sense, sys.dual, w.lam, s_k)
-    return PointProducts(prob, PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new))
+    """Block 1 from its regularized normal equations, block 2 through the
+    primal half with weight s, then the dual half."""
+    blk1 = prob.blocks[0]
+    c1 = quadratic_terms(blk1.theta)[1]
+    x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(at.w.x[: blk1.n]))
+    return _dual_half(prob, sys.dual, at, [x1_new, *_prox_half(prob, at, (cfg.s,), 1)])
 
 
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -449,15 +462,14 @@ def classic_alm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> 
         return r * a.T.dot(a.dot(x) - d)
 
     x_new = _fista(prob.theta, prob.x_set, grad, r * prob.gram_norm, w.x, cfg.inner_tol, cfg.inner_max_iters)
-    lam_new = w.lam - r * (a.dot(x_new) - prob.b)
-    return PrimalDualPoint(x_new, lam_new)
+    return PrimalDualPoint(x_new, w.lam - r * coupling(prob, x_new))
 
 
 def _lalm(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
     w, r, sigma = at.w, cfg.r, cfg.sigma_or_s
     v = w.x + prob.a.T.dot(w.lam - r * at.resid()) / sigma
     x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
-    resid = prob.a.dot(x_new) - prob.b  # the next iterate's A x - b
+    resid = coupling(prob, x_new)  # the next iterate's A x - b
     return PointProducts(prob, PrimalDualPoint(x_new, w.lam - r * resid), resid)
 
 
@@ -470,10 +482,8 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
 
 
 def _primal_dual(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
-    w, r, s = at.w, cfg.r, cfg.sigma_or_s
-    x_new = prox_constrained(prob.theta, prob.x_set, r, w.x + at.at_lam() / r)
-    lam_new = w.lam - (prob.a.dot(2.0 * x_new - w.x) - prob.b) / s
-    return PointProducts(prob, PrimalDualPoint(x_new, lam_new))
+    (x_new,) = _prox_half(prob, at, (cfg.r,), 0)
+    return PointProducts(prob, PrimalDualPoint(x_new, at.w.lam - _extrapolated(prob, at, x_new) / cfg.sigma_or_s))
 
 
 def primal_dual_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -503,8 +513,8 @@ def admm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -
     g1, g2 = prob.block_gram_norms
     x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, g1, x1, cfg)
     x2_new = _block_fista(blk2, prob.b - blk1.a.dot(x1_new), w.lam, g2, x2, cfg)
-    lam_new = w.lam - cfg.r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
-    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
+    x_new = np.concatenate([x1_new, x2_new])
+    return PrimalDualPoint(x_new, w.lam - cfg.r * coupling(prob, x_new))
 
 
 def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -515,10 +525,9 @@ def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) 
     blk1, blk2 = prob.blocks
     x1, x2 = prob.split(w.x)
     x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, prob.block_gram_norms[0], x1, cfg)
-    q2 = x2 + blk2.a.T.dot(w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2) - prob.b)) / s
-    x2_new = prox_constrained(blk2.theta, blk2.x_set, s, q2)
-    lam_new = w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
-    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
+    q2 = x2 + blk2.a.T.dot(w.lam - r * coupling(prob, np.concatenate([x1_new, x2]))) / s
+    x_new = np.concatenate([x1_new, prox_constrained(blk2.theta, blk2.x_set, s, q2)])
+    return PrimalDualPoint(x_new, w.lam - r * coupling(prob, x_new))
 
 
 # ---------------------------------------------------------------------------

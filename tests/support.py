@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own closed forms:
 scalar minimization goes through grid search plus golden-section
 refinement, and LCPs are solved by enumerating active sets.  The
 reference paths at the end are the library's kernels written the
-straightforward way (a per-part loop, scipy's solve wrappers); the fast
-kernels must match them bit for bit.
+straightforward way (a per-part loop, scipy's solve wrappers), and each
+method's step with its whole update formula written out; the library's
+kernels and steps must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from balm import (
     Block,
+    Linear,
     PrimalDualPoint,
     Problem,
     Quadratic,
@@ -27,8 +29,10 @@ from balm import (
 )
 from balm.bench import ineq_qp_reference
 from balm.diagnostics import ContractionCertificate
-from balm.linalg import SpdFactor, h_quadratic
-from balm.prox import objective_value, prox
+from balm.errors import InnerNoConvergence
+from balm.linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd
+from balm.multiplier import solve_equality, solve_lcp
+from balm.prox import objective_value, prox, prox_constrained
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -197,3 +201,130 @@ def contraction_ledger_three_term(history, h, w_star, alpha: float = 1.0) -> lis
         step = h_quadratic(h, w_k - target)
         certs.append(ContractionCertificate(k, before, after, step, before - after - scale * step))
     return certs
+
+
+# ---------------------------------------------------------------------------
+# reference steps: each method's update written out in full, one function
+# per method, with the signature of its public step.  Every A x - b, every
+# A_i^T lambda and the dual right-hand side s = A(2 x_new - x) - b are
+# formed here in the order the step formulas state them.
+
+
+def _dual_solve_reference(sense, sys, lam, s_k):
+    if sense is Sense.EQUALITY:
+        return solve_equality(sys, lam, s_k)
+    return solve_lcp(sys, lam, s_k)
+
+
+def balanced_alm_reference(prob, cfg, sys, w):
+    x_new = prox_constrained(prob.theta, prob.x_set, cfg.r, w.x + prob.a.T.dot(w.lam) / cfg.r)
+    s_k = prob.a.dot(2.0 * x_new - w.x) - prob.b
+    return PrimalDualPoint(x_new, _dual_solve_reference(prob.sense, sys, w.lam, s_k))
+
+
+def generalized_reference(prob, cfg, sys, w):
+    pred = balanced_alm_reference(prob, cfg, sys, w)
+    if cfg.alpha == 1.0:
+        return pred
+    return PrimalDualPoint(w.x - cfg.alpha * (w.x - pred.x), w.lam - cfg.alpha * (w.lam - pred.lam))
+
+
+def split_balanced_reference(prob, cfg, sys, w):
+    """The sum over blocks starts from the first block's product, as
+    alt-split's and the one-block s do; a sum started from zeros turns a
+    -0 product (only a 1x1 block gives one) into +0."""
+    new_xs, parts = [], []
+    for blk, xi, r_i in zip(prob.blocks, prob.split(w.x), cfg.r_list):
+        xi_new = prox_constrained(blk.theta, blk.x_set, r_i, xi + blk.a.T.dot(w.lam) / r_i)
+        new_xs.append(xi_new)
+        parts.append(blk.a.dot(2.0 * xi_new - xi))
+    s_k = sum(parts[1:], parts[0]) - prob.b
+    return PrimalDualPoint(np.concatenate(new_xs), _dual_solve_reference(prob.sense, sys, w.lam, s_k))
+
+
+def alt_split_reference(prob, cfg, sys, w):
+    blk1, blk2 = prob.blocks
+    x1, x2 = prob.split(w.x)
+    g1 = blk1.a.T @ blk1.a
+    g1 = 0.5 * (g1 + g1.T)
+    shift = cfg.r * g1 + cfg.delta * np.eye(blk1.n)
+    p1 = blk1.theta.p if isinstance(blk1.theta, Quadratic) else np.zeros((blk1.n, blk1.n))
+    c1 = blk1.theta.c if isinstance(blk1.theta, (Quadratic, Linear)) else np.zeros(blk1.n)
+    x1_new = solve_spd(cholesky_factor(shift + p1), blk1.a.T.dot(w.lam) - c1 + shift.dot(x1))
+    x2_new = prox_constrained(blk2.theta, blk2.x_set, cfg.s, x2 + blk2.a.T.dot(w.lam) / cfg.s)
+    s_k = blk1.a.dot(2.0 * x1_new - x1) + blk2.a.dot(2.0 * x2_new - x2) - prob.b
+    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), _dual_solve_reference(prob.sense, sys, w.lam, s_k))
+
+
+def fista_reference(theta, x_set, grad, lipschitz, x0, tol, cap):
+    """Accelerated proximal gradient with adaptive restart, stopping on the
+    composite optimality residual, norms taken as np.linalg.norm."""
+    lip = max(lipschitz, 1e-12)
+    x = np.asarray(x0, dtype=float).copy()
+    y = x.copy()
+    t = 1.0
+    for _ in range(cap):
+        g_y = grad(y)
+        x_new = prox_constrained(theta, x_set, lip, y - g_y / lip)
+        opt = lip * (y - x_new) + grad(x_new) - g_y
+        if np.linalg.norm(opt) <= tol * (1.0 + np.linalg.norm(x_new)):
+            return x_new
+        if float((y - x_new) @ (x_new - x)) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x = x_new
+        t = t_new
+    raise InnerNoConvergence(f"inner solver exceeded {cap} iterations")
+
+
+def classic_alm_reference(prob, cfg, w):
+    r, a = cfg.r, prob.a
+    d = prob.b + w.lam / r
+    x_new = fista_reference(
+        prob.theta, prob.x_set, lambda x: r * a.T.dot(a.dot(x) - d), r * prob.gram_norm, w.x,
+        cfg.inner_tol, cfg.inner_max_iters,
+    )
+    return PrimalDualPoint(x_new, w.lam - r * (a.dot(x_new) - prob.b))
+
+
+def lalm_reference(prob, cfg, w):
+    r, sigma = cfg.r, cfg.sigma_or_s
+    v = w.x + prob.a.T.dot(w.lam - r * (prob.a.dot(w.x) - prob.b)) / sigma
+    x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
+    return PrimalDualPoint(x_new, w.lam - r * (prob.a.dot(x_new) - prob.b))
+
+
+def primal_dual_reference(prob, cfg, w):
+    r, s = cfg.r, cfg.sigma_or_s
+    x_new = prox_constrained(prob.theta, prob.x_set, r, w.x + prob.a.T.dot(w.lam) / r)
+    return PrimalDualPoint(x_new, w.lam - (prob.a.dot(2.0 * x_new - w.x) - prob.b) / s)
+
+
+def _block_fista_reference(blk, c, lam, gram, x0, cfg):
+    r = cfg.r
+    return fista_reference(
+        blk.theta, blk.x_set, lambda z: blk.a.T.dot(r * (blk.a.dot(z) - c) - lam),
+        r * gram, x0, cfg.inner_tol, cfg.inner_max_iters,
+    )
+
+
+def admm_reference(prob, cfg, w):
+    blk1, blk2 = prob.blocks
+    x1, x2 = prob.split(w.x)
+    g1, g2 = prob.block_gram_norms
+    x1_new = _block_fista_reference(blk1, prob.b - blk2.a.dot(x2), w.lam, g1, x1, cfg)
+    x2_new = _block_fista_reference(blk2, prob.b - blk1.a.dot(x1_new), w.lam, g2, x2, cfg)
+    lam_new = w.lam - cfg.r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
+    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)
+
+
+def ladmm_reference(prob, cfg, w):
+    r, s = cfg.r, cfg.sigma_or_s
+    blk1, blk2 = prob.blocks
+    x1, x2 = prob.split(w.x)
+    x1_new = _block_fista_reference(blk1, prob.b - blk2.a.dot(x2), w.lam, prob.block_gram_norms[0], x1, cfg)
+    q2 = x2 + blk2.a.T.dot(w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2) - prob.b)) / s
+    x2_new = prox_constrained(blk2.theta, blk2.x_set, s, q2)
+    lam_new = w.lam - r * (blk1.a.dot(x1_new) + blk2.a.dot(x2_new) - prob.b)
+    return PrimalDualPoint(np.concatenate([x1_new, x2_new]), lam_new)

@@ -1,0 +1,64 @@
+"""The CLI's refusals of requests that would check nothing, and the one
+summary line that balm solve and the matchup report share."""
+
+from __future__ import annotations
+
+import pytest
+
+from balm import cli
+
+
+@pytest.fixture
+def solved(tmp_path, capsys):
+    """A problem file and the history of a balanced-alm run on it."""
+    ppath, hpath = str(tmp_path / "p.json"), str(tmp_path / "h.csv")
+    assert cli.main(["generate", "--kind", "random_qp_eq", "--m", "2", "--n", "4", "--seed", "3", "--out", ppath]) == 0
+    assert cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--delta", "0.1", "--history", hpath]) == 0
+    capsys.readouterr()
+    return ppath, hpath
+
+
+@pytest.mark.parametrize("probes", ["0", "-5"])
+def test_certify_gap_without_probes_exits_two(solved, capsys, probes):
+    ppath, hpath = solved
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "gap", "--probes", probes])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert "PASS" not in out and "--probes must be at least 1" in err
+
+
+@pytest.mark.parametrize("check", ["", ",", ",,"])
+def test_certify_with_no_check_exits_two(solved, capsys, check):
+    ppath, hpath = solved
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", check])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and "names no check" in err
+
+
+@pytest.mark.parametrize("methods", ["", ","])
+def test_matchup_with_no_method_exits_two_and_writes_no_report(solved, tmp_path, capsys, methods):
+    ppath, _ = solved
+    rpath = tmp_path / "report.txt"
+    code = cli.main(["matchup", "--problem", ppath, "--methods", methods, "--report", str(rpath)])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert "no method to run" in capsys.readouterr().err
+    assert not rpath.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [("random_qp_eq", "balanced-alm"), ("random_qp_eq", "lalm"), ("lasso_eq", "split-balanced"), ("lasso_eq", "admm")],
+)
+def test_solve_prints_the_prefix_of_the_matchup_report_row(tmp_path, capsys, kind, method):
+    ppath, rpath = str(tmp_path / "p.json"), str(tmp_path / "report.txt")
+    cli.main(["generate", "--kind", kind, "--m", "3", "--n", "6", "--seed", "2", "--out", ppath])
+    flags = ["--problem", ppath, "--tol", "1e-6", "--max-iters", "400"]
+    capsys.readouterr()
+    cli.main(["solve", "--method", method] + flags)
+    solve_line = capsys.readouterr().out.strip()
+    cli.main(["matchup", "--methods", method, "--report", rpath] + flags)
+    with open(rpath) as fh:
+        header, row = fh.read().splitlines()
+    assert header.startswith("# matchup") and solve_line.startswith(f"method={method} status=")
+    assert row.startswith(solve_line + " wall_time=")
