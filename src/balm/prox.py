@@ -44,6 +44,7 @@ class Quadratic:
     # prox factorizations keyed by the prox parameter; dict contents mutate,
     # the field itself never does.  Races just recompute an equal factor.
     _factors: dict = field(default_factory=dict, repr=False)
+    _diagonal: bool = field(init=False, repr=False)  # P has no off-diagonal entry: coordinatewise
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -56,6 +57,7 @@ class Quadratic:
         object.__setattr__(self, "c", c)
         # PSD screen: a tiny ridge must make P positive definite
         cholesky_factor(p + 1e-10 * np.eye(p.shape[0]))
+        object.__setattr__(self, "_diagonal", not np.any(p - np.diag(np.diag(p))))
 
     def solve_shifted(self, r: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (P + r I) y = rhs, caching the factor per r."""
@@ -278,7 +280,7 @@ def coordinatewise(theta) -> bool:
     if isinstance(theta, (Zero, L1, Linear, SeparableSum)):
         return True
     if isinstance(theta, Quadratic):
-        return not np.any(theta.p - np.diag(np.diag(theta.p)))
+        return theta._diagonal
     return False
 
 

@@ -9,7 +9,8 @@ split-balanced and alt-split differ only in the weights r_i and in
 alt-split's block 1; every A x - b is problems.coupling.  Classic
 augmented Lagrangian, linearized ALM, a primal-dual scheme and
 (linearized) ADMM are included as baselines; their stepsize conditions
-are enforced, not assumed.  Each condition, each default stepsize and
+are enforced, not assumed, and all but primal-dual end in the same dual
+ascent lam - r (A x_new - b) (_dual_ascent).  Each condition, each default stepsize and
 each inner FISTA Lipschitz constant reads Problem.gram_norm or
 block_gram_norms, a certified upper bound on ||A^T A|| from one
 eigensolve of the smaller Gram matrix, so a stepsize inside the
@@ -18,8 +19,10 @@ forbidden region is rejected.
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
 params.  run, the bench helpers and the CLI all read it.  run checks a
-method once and then steps through its unchecked kernel; the public
-step functions check their inputs and call the same kernel.
+method once and then calls only its unchecked kernel.  Every public
+step function is the same adapter over the method's row
+(_checked_step): the row's check, the point's shapes, then the kernel.
+alt_split_step alone also builds block 1's system on each call.
 """
 
 from __future__ import annotations
@@ -273,8 +276,9 @@ class IdentityMetric(Metric):
 
 
 # ---------------------------------------------------------------------------
-# validity checks, each written once: run calls a method's check once,
-# before the first step; its public step function calls it on every call
+# validity checks, each written once as a METHODS row's check(prob, cfg,
+# name): run calls it once, before the first step, and a public step
+# calls it once per call, through _checked_step
 
 
 def _require_blocks(prob, label: str, two: bool = False) -> None:
@@ -282,14 +286,14 @@ def _require_blocks(prob, label: str, two: bool = False) -> None:
         raise ConfigInvalid(f"{label} needs a {'two-block' if two else 'block-structured'} problem")
 
 
-def _check_split(prob, cfg: SplitConfig) -> None:
-    _require_blocks(prob, "split-balanced")
+def _check_split(prob, cfg: SplitConfig, name: str) -> None:
+    _require_blocks(prob, name)
     if len(cfg.r_list) != len(prob.blocks):
         raise ConfigInvalid(f"{len(cfg.r_list)} prox weights for {len(prob.blocks)} blocks")
 
 
-def _check_alt_split(prob, cfg: AltSplitConfig) -> None:
-    _require_blocks(prob, "alt-split", two=True)
+def _check_alt_split(prob, cfg: AltSplitConfig, name: str) -> None:
+    _require_blocks(prob, name, two=True)
     blk1 = prob.blocks[0]
     if not isinstance(blk1.x_set, WholeSpace) or not isinstance(blk1.theta, (Quadratic, Linear, Zero)):
         raise UnsupportedCombination("block 1 must be an unconstrained quadratic/linear/zero objective")
@@ -312,12 +316,29 @@ def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
             raise ConfigInvalid(f"{label} = {value} must exceed {bound}")
 
 
+def _check_shapes(prob, w: PrimalDualPoint, label: str) -> None:
+    if w.x.shape != (prob.n,) or w.lam.shape != (prob.m,):
+        raise DimensionMismatch(
+            f"{label} point has shapes {w.x.shape}/{w.lam.shape}, expected ({prob.n},)/({prob.m},)"
+        )
+
+
+def _checked_step(name: str, prob, cfg, sys, w: PrimalDualPoint) -> PrimalDualPoint:
+    """A public step: the METHODS row's check against its own name, w's
+    shapes, then the row's kernel from w."""
+    spec = METHODS[name]
+    spec.check(prob, cfg, name)
+    _check_shapes(prob, w, "step")
+    return spec.step(prob, cfg, sys, PointProducts(prob, w)).w
+
+
 # ---------------------------------------------------------------------------
-# steps.  run steps through unchecked kernels _name(prob, cfg, [sys,] at),
-# which map the current iterate's PointProducts to the next one's;
-# name_step checks and calls the same kernel.  primal-dual takes the
-# balanced primal half and a scalar dual step.  Matrix-vector products
-# use ndarray.dot, which gives @'s bits with less overhead per call.
+# steps.  Every method steps through an unchecked kernel
+# _name(prob, cfg, [sys,] at), which maps the current iterate's
+# PointProducts to the next one's; run calls only kernels, and name_step
+# is _checked_step over the method's row.  primal-dual takes the balanced
+# primal half and a scalar dual step.  Matrix-vector products use
+# ndarray.dot, which gives @'s bits with less overhead per call.
 
 
 def _prox_half(prob, at: PointProducts, weights, first: int) -> list:
@@ -354,7 +375,7 @@ def _balanced_alm(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, 
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """One unrelaxed step: prox at q = x + (1/r) A^T lam, then the dual
     solve against s = A(2 x_new - x) - b."""
-    return _balanced_alm(prob, cfg, sys, PointProducts(prob, w)).w
+    return _checked_step("balanced-alm", prob, cfg, sys, w)
 
 
 def _relax(w: PrimalDualPoint, pred: PrimalDualPoint, alpha: float) -> PrimalDualPoint:
@@ -378,8 +399,7 @@ def _split_balanced(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSys
 
 def split_balanced_step(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Parallel per-block proxes, then one shared dual solve."""
-    _check_split(prob, cfg)
-    return _split_balanced(prob, cfg, sys, PointProducts(prob, w)).w
+    return _checked_step("split-balanced", prob, cfg, sys, w)
 
 
 @dataclass(frozen=True)
@@ -410,9 +430,10 @@ def _alt_split(prob: SeparableProblem, cfg: AltSplitConfig, sys: AltSplitSystem,
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
     """Two-block step: regularized normal equations for block 1, a prox
     for block 2, then the shared dual solve against sys (build_h2).
-    Builds and factors block 1's system on every call; run builds it
-    once, in the METHODS row's system."""
-    _check_alt_split(prob, cfg)
+    Builds and factors block 1's system on every call, after the check;
+    run builds it once, in the METHODS row's system."""
+    _check_alt_split(prob, cfg, "alt-split")
+    _check_shapes(prob, w, "step")
     return _alt_split(prob, cfg, _alt_split_system(prob, cfg, sys), PointProducts(prob, w)).w
 
 
@@ -450,35 +471,42 @@ def _fista(theta, x_set, grad, lipschitz: float, x0: np.ndarray, tol: float, cap
     raise InnerNoConvergence(f"inner solver exceeded {cap} iterations")
 
 
-def classic_alm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
-    """Augmented Lagrangian step: inner prox-gradient minimization of
-    theta(x) + (r/2)||A x - b - lam/r||^2, then dual ascent."""
-    _check_baseline(prob, cfg, "classic-alm")
+def _dual_ascent(prob, cfg: BaselineConfig, at: PointProducts, x_new: np.ndarray) -> PointProducts:
+    """The baselines' multiplier update lam - r (A x_new - b); the new
+    iterate keeps its A x - b for its KKT residual."""
+    resid = coupling(prob, x_new)
+    return PointProducts(prob, PrimalDualPoint(x_new, at.w.lam - cfg.r * resid), resid)
+
+
+def _classic_alm(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
     r = cfg.r
-    d = prob.b + w.lam / r
+    d = prob.b + at.w.lam / r
     a = prob.a
 
     def grad(x):
         return r * a.T.dot(a.dot(x) - d)
 
-    x_new = _fista(prob.theta, prob.x_set, grad, r * prob.gram_norm, w.x, cfg.inner_tol, cfg.inner_max_iters)
-    return PrimalDualPoint(x_new, w.lam - r * coupling(prob, x_new))
+    x_new = _fista(prob.theta, prob.x_set, grad, r * prob.gram_norm, at.w.x, cfg.inner_tol, cfg.inner_max_iters)
+    return _dual_ascent(prob, cfg, at, x_new)
+
+
+def classic_alm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
+    """Augmented Lagrangian step: inner prox-gradient minimization of
+    theta(x) + (r/2)||A x - b - lam/r||^2, then dual ascent."""
+    return _checked_step("classic-alm", prob, cfg, None, w)
 
 
 def _lalm(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
-    w, r, sigma = at.w, cfg.r, cfg.sigma_or_s
-    v = w.x + prob.a.T.dot(w.lam - r * at.resid()) / sigma
-    x_new = prox_constrained(prob.theta, prob.x_set, sigma, v)
-    resid = coupling(prob, x_new)  # the next iterate's A x - b
-    return PointProducts(prob, PrimalDualPoint(x_new, w.lam - r * resid), resid)
+    w, sigma = at.w, cfg.sigma_or_s
+    v = w.x + prob.a.T.dot(w.lam - cfg.r * at.resid()) / sigma
+    return _dual_ascent(prob, cfg, at, prox_constrained(prob.theta, prob.x_set, sigma, v))
 
 
 def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """Linearized ALM: prox with weight sigma at the gradient point of the
     augmented term; requires sigma > r ||A^T A|| (0.75 factor when
     sharp_bounds is set)."""
-    _check_baseline(prob, cfg, "lalm")
-    return _lalm(prob, cfg, PointProducts(prob, w)).w
+    return _checked_step("lalm", prob, cfg, None, w)
 
 
 def _primal_dual(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
@@ -490,8 +518,7 @@ def primal_dual_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> 
     """Primal-dual step with the same x-update as the balanced method but
     a scalar dual stepsize 1/s; requires r s > ||A^T A|| (sharp_bounds
     does not relax it)."""
-    _check_baseline(prob, cfg, "primal-dual")
-    return _primal_dual(prob, cfg, PointProducts(prob, w)).w
+    return _checked_step("primal-dual", prob, cfg, None, w)
 
 
 def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarray, cfg: BaselineConfig) -> np.ndarray:
@@ -504,30 +531,35 @@ def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarra
     )
 
 
+def _admm(prob: SeparableProblem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
+    lam = at.w.lam
+    blk1, blk2 = prob.blocks
+    x1, x2 = prob.split(at.w.x)
+    g1, g2 = prob.block_gram_norms
+    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), lam, g1, x1, cfg)
+    x2_new = _block_fista(blk2, prob.b - blk1.a.dot(x1_new), lam, g2, x2, cfg)
+    return _dual_ascent(prob, cfg, at, np.concatenate([x1_new, x2_new]))
+
+
 def admm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """Gauss-Seidel ADMM sweep; both block subproblems go through the
     inner prox-gradient solver."""
-    _check_baseline(prob, cfg, "admm")
+    return _checked_step("admm", prob, cfg, None, w)
+
+
+def _ladmm(prob: SeparableProblem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
+    lam, s = at.w.lam, cfg.sigma_or_s
     blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(w.x)
-    g1, g2 = prob.block_gram_norms
-    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, g1, x1, cfg)
-    x2_new = _block_fista(blk2, prob.b - blk1.a.dot(x1_new), w.lam, g2, x2, cfg)
-    x_new = np.concatenate([x1_new, x2_new])
-    return PrimalDualPoint(x_new, w.lam - cfg.r * coupling(prob, x_new))
+    x1, x2 = prob.split(at.w.x)
+    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), lam, prob.block_gram_norms[0], x1, cfg)
+    q2 = x2 + blk2.a.T.dot(lam - cfg.r * coupling(prob, np.concatenate([x1_new, x2]))) / s
+    return _dual_ascent(prob, cfg, at, np.concatenate([x1_new, prox_constrained(blk2.theta, blk2.x_set, s, q2)]))
 
 
 def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalDualPoint:
     """ADMM with a linearized second block: x2 is a single prox with
     weight s; requires s > r ||A2^T A2|| (0.75 factor when sharp)."""
-    _check_baseline(prob, cfg, "ladmm")
-    r, s = cfg.r, cfg.sigma_or_s
-    blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(w.x)
-    x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), w.lam, prob.block_gram_norms[0], x1, cfg)
-    q2 = x2 + blk2.a.T.dot(w.lam - r * coupling(prob, np.concatenate([x1_new, x2]))) / s
-    x_new = np.concatenate([x1_new, prox_constrained(blk2.theta, blk2.x_set, s, q2)])
-    return PrimalDualPoint(x_new, w.lam - r * coupling(prob, x_new))
+    return _checked_step("ladmm", prob, cfg, None, w)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +575,9 @@ class MethodSpec:
     """One row of the method table; the defaults describe a baseline.
 
     config(prob, **flags) builds the config from bench.build_config's
-    flags, with validated default stepsizes.  check(prob, cfg) raises for
-    what the method cannot run; run calls it once, before the first step.
+    flags, with validated default stepsizes.  check(prob, cfg, name)
+    raises for what the method cannot run; run calls it once, before the
+    first step, with the row's name.
     A baseline's stepsize(prob, cfg, factor) is its condition as (label,
     value, bound), met when value > bound.  system(prob, cfg) is what the
     step solves against, built once per run: the dual system, and for
@@ -552,16 +585,15 @@ class MethodSpec:
     metric of the run and of its replay.  step(prob, cfg, sys, at) maps
     the current iterate's PointProducts to those of the next iterate or,
     when relaxed(cfg), of the predictor that run records and relaxes; it
-    calls the method's kernel, or the public step of classic-alm, admm
-    and ladmm, whose inner FISTA loops dwarf the check.  The lambdas look
-    kernels, steps and builders up in the module when called, so patching
-    one reaches them.
+    calls the method's unchecked kernel, and the method's public step is
+    _checked_step over the row.  The lambdas look kernels, checks and
+    builders up in the module when called, so patching one reaches them.
     """
 
     name: str
     config: Callable
     step: Callable
-    check: Callable = lambda prob, cfg: _check_baseline(prob, cfg, cfg.method_name)
+    check: Callable = lambda prob, cfg, name: _check_baseline(prob, cfg, name)
     stepsize: Callable | None = None
     system: Callable = lambda prob, cfg: None
     params: Callable = lambda cfg: {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds}
@@ -591,7 +623,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         "balanced-alm",
         config=lambda prob, r, delta, alpha, **_: BalancedAlmConfig(r, delta, alpha),
         step=lambda prob, cfg, sys, at: _balanced_alm(prob, cfg, sys, at),
-        check=lambda prob, cfg: None,
+        check=lambda prob, cfg, name: None,
         system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
         params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
         metric=lambda prob, p: BalancedMetric([prob.a], [p["r"]], p["delta"]),
@@ -621,7 +653,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
             Method.CLASSIC_ALM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
-        step=lambda prob, cfg, sys, at: PointProducts(prob, classic_alm_step(prob, cfg, at.w)),
+        step=lambda prob, cfg, sys, at: _classic_alm(prob, cfg, at),
         flattens=True,
     ),
     MethodSpec(
@@ -649,23 +681,16 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         config=lambda prob, r, inner_tol, inner_max_iters, **_: BaselineConfig(
             Method.ADMM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
-        step=lambda prob, cfg, sys, at: PointProducts(prob, admm_step(prob, cfg, at.w)),
+        step=lambda prob, cfg, sys, at: _admm(prob, cfg, at),
     ),
     MethodSpec(
         "ladmm",
         config=_ladmm_config,
-        step=lambda prob, cfg, sys, at: PointProducts(prob, ladmm_step(prob, cfg, at.w)),
+        step=lambda prob, cfg, sys, at: _ladmm(prob, cfg, at),
         stepsize=lambda prob, cfg, f: ("s", cfg.sigma_or_s, f * cfg.r * prob.block_gram_norms[1]),
         sharp_bounds=True,
     ),
 )}
-
-
-def _check_shapes(prob, w: PrimalDualPoint, label: str) -> None:
-    if w.x.shape != (prob.n,) or w.lam.shape != (prob.m,):
-        raise DimensionMismatch(
-            f"{label} point has shapes {w.x.shape}/{w.lam.shape}, expected ({prob.n},)/({prob.m},)"
-        )
 
 
 def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
@@ -694,7 +719,7 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     if spec is None:
         raise ConfigInvalid(f"unknown config type {type(cfg).__name__}")
     prob = spec.problem(prob)
-    spec.check(prob, cfg)
+    spec.check(prob, cfg, spec.name)
     sys = spec.system(prob, cfg)
     metric = spec.metric(prob, spec.params(cfg))
     w = default_start(prob) if w0 is None else _check_start(prob, w0)

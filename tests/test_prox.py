@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,3 +279,20 @@ def test_separable_quadratic_pivot_at_threshold_raises():
         support.separable_prox_loop(theta, 1e-14, np.ones(2))
     with pytest.raises(NotPositiveDefinite):
         prox(theta, 1e-14, np.ones(2))
+
+
+def test_a_diagonal_quadratic_prox_over_the_orthant_builds_no_n_by_n_temporary():
+    """Whether P is diagonal is settled when the Quadratic is built; a prox
+    with its factor cached then allocates only vectors."""
+    n = 1000
+    theta = Quadratic(np.diag(np.linspace(1.0, 2.0, n)), np.ones(n))
+    q = np.linspace(-1.0, 1.0, n)
+    first = prox_constrained(theta, NonnegativeOrthant(), 2.0, q)  # factors P + 2 I
+    tracemalloc.start()
+    try:
+        again = prox_constrained(theta, NonnegativeOrthant(), 2.0, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (again == first).all()
+    assert peak < 1 << 20

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import balm.problems as problems
 import balm.solvers as solvers
 from balm.bench import build_config, config_params, generate_instance, metric_for
-from balm.errors import BalmError
+from balm.errors import BalmError, DimensionMismatch
 from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import PrimalDualPoint, SeparableProblem, default_start, flatten_blocks, kkt_residual
 from balm.solvers import (
@@ -156,6 +156,41 @@ def test_run_checks_a_baseline_once(name, monkeypatch):
     calls = _counting(monkeypatch, solvers, "_check_baseline")
     hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
     assert len(hist.iterates) > 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["classic-alm", "admm", "ladmm"])
+def test_run_checks_a_fista_baseline_once(name, monkeypatch):
+    prob = _instance("lasso_eq")
+    cfg = build_config(name, prob)
+    calls = _counting(monkeypatch, solvers, "_check_baseline")
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    assert len(hist.iterates) > 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("name, per_step", [("classic-alm", 1), ("lalm", 1), ("admm", 1), ("ladmm", 2)])
+def test_a_baseline_step_forms_a_x_minus_b_only_where_it_needs_a_new_one(name, per_step, monkeypatch):
+    """The dual ascent's A x+ - b is the next KKT residual's; ladmm also
+    forms A x - b at the half-updated point (x1+, x2)."""
+    prob = _instance("lasso_eq")
+    cfg = build_config(name, prob)
+    calls = [_counting(monkeypatch, module, "coupling") for module in (problems, solvers)]
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    steps = len(hist.iterates) - 1
+    assert steps > 1 and sum(map(len, calls)) == 1 + per_step * steps  # 1: the start's residual
+
+
+@pytest.mark.parametrize("cut", ["x", "lam"])
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_public_step_raises_dimension_mismatch_on_a_short_point(name, cut):
+    """One-block steps on a one-block problem, block steps on a separable one."""
+    kind = "basis_pursuit" if METHODS[name].flattens else "two_block_qp" if name == "alt-split" else "lasso_eq"
+    prob = _instance(kind)
+    assert isinstance(prob, SeparableProblem) != METHODS[name].flattens
+    step = _public_step(name, prob, build_config(name, prob))
+    w = default_start(prob)
+    short = PrimalDualPoint(w.x[:-1], w.lam) if cut == "x" else PrimalDualPoint(w.x, w.lam[:-1])
+    with pytest.raises(DimensionMismatch):
+        step(short)
 
 
 def test_alt_split_run_factors_block_one_once(monkeypatch):
