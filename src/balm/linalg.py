@@ -5,16 +5,32 @@ SPD solves call LAPACK's triangular solve (dtrtrs) directly, with the
 arguments scipy.linalg.solve_triangular would pass it, so results match
 that route bit for bit without its per-call validation overhead.  The
 bound on ||A^T A|| that the stepsize conditions read calls LAPACK's
-symmetric eigensolver (dsyevd) the same way.
+symmetric eigensolver (dsyevd) the same way, and the multiplier module's
+active-set solves take Cholesky's dpotrf and dpotrs from here.
+
+These four routines are the f2py functions of scipy's LAPACK extension,
+scipy/linalg/_flapack, the very objects scipy.linalg.lapack re-exports.
+The extension is loaded from its file (_load_flapack), so importing balm
+does not run the scipy.linalg package's init, which with scipy 1.17 on a
+2-vCPU x86-64 host adds about 24 MB of peak resident memory and 0.2-0.3 s
+to every process.  The module is registered under its own name, so a
+later `import scipy.linalg` reuses it and scipy.linalg.lapack re-exports
+the same objects; only the attribute scipy.linalg._flapack is then
+unset, as the package did not load it (`from scipy.linalg import
+_flapack` still finds it).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd, dtrtrs
+import scipy
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
@@ -25,6 +41,35 @@ POWER_CAP = 10_000
 GRAM_MARGIN = 4.0
 EPS = float(np.finfo(float).eps)
 SCALE_EXPONENT = 256  # |log2 max|a_ij|| beyond which gram_norm_bound rescales
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(folder: str = os.path.join(scipy.__path__[0], "linalg")):
+    """scipy's f2py LAPACK module, loaded from its extension file in
+    folder (scipy/linalg by default) and registered under its own name.
+
+    A module already imported under that name is reused.  Where no file
+    in folder will load, this imports scipy.linalg.lapack, which
+    re-exports the same functions.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, os.path.join(folder, "_flapack" + suffix))
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:  # no such file, or one that will not load
+            continue
+        sys.modules[_FLAPACK] = module
+        return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dsyevd, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevd, _flapack.dtrtrs
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NoConvergence
-from .linalg import SpdFactor, cholesky_factor, solve_spd
+from .linalg import SpdFactor, cholesky_factor, dpotrf, dpotrs, solve_spd
 
 LCP_TOL = 1e-9
 LCP_SWEEP_CAP = 10_000

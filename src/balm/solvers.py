@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
 from .linalg import Metric, SpdFactor, cholesky_factor, solve_spd
@@ -180,7 +179,7 @@ def split_metric(a_list: list, r_list, delta: float) -> np.ndarray:
     multi-block dual metric."""
     a_list = [np.asarray(a, dtype=float) for a in a_list]
     corner = build_hp(list(zip(a_list, r_list)), delta).h
-    top = block_diag(*(r_i * np.eye(a_i.shape[1]) for a_i, r_i in zip(a_list, r_list)))
+    top = np.diag(np.concatenate([np.full(a_i.shape[1], r_i, dtype=float) for a_i, r_i in zip(a_list, r_list)]))
     a = np.hstack(a_list)
     return np.block([[top, a.T], [a, corner]])
 
@@ -198,7 +197,8 @@ def alt_split_metric(a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: 
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     corner = build_h2(a2, r, s, delta).h
-    top = block_diag(_block_one_shift(a1, r, delta), s * np.eye(a2.shape[1]))
+    n1, n2 = a1.shape[1], a2.shape[1]
+    top = np.block([[_block_one_shift(a1, r, delta), np.zeros((n1, n2))], [np.zeros((n2, n1)), s * np.eye(n2)]])
     a = np.hstack([a1, a2])
     return np.block([[top, a.T], [a, corner]])
 
@@ -286,6 +286,11 @@ def _require_blocks(prob, label: str, two: bool = False) -> None:
         raise ConfigInvalid(f"{label} needs a {'two-block' if two else 'block-structured'} problem")
 
 
+def _require_one_block(prob, label: str) -> None:
+    if isinstance(prob, SeparableProblem) or not isinstance(prob, Problem):
+        raise ConfigInvalid(f"{label} expects a single-block problem (flatten first)")
+
+
 def _check_split(prob, cfg: SplitConfig, name: str) -> None:
     _require_blocks(prob, name)
     if len(cfg.r_list) != len(prob.blocks):
@@ -306,8 +311,8 @@ def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
     spec = METHODS[name]
     if not spec.flattens:
         _require_blocks(prob, name, two=True)
-    elif isinstance(prob, SeparableProblem) or not isinstance(prob, Problem):
-        raise ConfigInvalid(f"{name} expects a single-block problem (flatten first)")
+    else:
+        _require_one_block(prob, name)
     if prob.sense is not Sense.EQUALITY:
         raise ConfigInvalid(f"{name} supports equality constraints only")
     if spec.stepsize is not None:
@@ -623,7 +628,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         "balanced-alm",
         config=lambda prob, r, delta, alpha, **_: BalancedAlmConfig(r, delta, alpha),
         step=lambda prob, cfg, sys, at: _balanced_alm(prob, cfg, sys, at),
-        check=lambda prob, cfg, name: None,
+        check=lambda prob, cfg, name: _require_one_block(prob, name),
         system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
         params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
         metric=lambda prob, p: BalancedMetric([prob.a], [p["r"]], p["delta"]),

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import balm
+import balm.linalg as linalg
 from balm.bench import generate_instance
 from balm.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 from balm.linalg import (
@@ -249,3 +255,37 @@ def test_solve_spd_rejects_a_singular_factor(order):
         support.solve_spd_scipy(factor, np.ones(2))
     with pytest.raises(np.linalg.LinAlgError):
         solve_spd(factor, np.ones(2))
+
+
+ROUTINES = ("dtrtrs", "dsyevd", "dpotrf", "dpotrs")
+
+# Run in a fresh interpreter: whether scipy.linalg is loaded, then whether
+# scipy.linalg.lapack reads balm's extension module and balm's LAPACK
+# routines are its own objects.
+_IMPORT_PROBE = """
+import json, sys
+{first}
+import balm.linalg as ours
+clean = "scipy.linalg" not in sys.modules
+import scipy.linalg.lapack as lapack
+same = [lapack._flapack is ours._flapack] + [getattr(ours, name) is getattr(lapack, name) for name in {routines!r}]
+print(json.dumps([clean] + same))
+"""
+
+
+@pytest.mark.parametrize("first", ["balm", "scipy.linalg.lapack"])
+def test_balm_binds_scipys_lapack_routines_without_importing_scipy_linalg(first):
+    src = os.path.dirname(os.path.dirname(balm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = _IMPORT_PROBE.format(first=f"import {first}", routines=ROUTINES)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [first == "balm"] + [True] * (1 + len(ROUTINES))
+
+
+def test_the_lapack_loader_falls_back_to_scipy_linalg_lapack(tmp_path, monkeypatch):
+    from scipy.linalg import lapack
+
+    monkeypatch.delitem(sys.modules, linalg._FLAPACK)
+    module = linalg._load_flapack(str(tmp_path))
+    assert module is lapack
+    assert all(getattr(module, name) is getattr(linalg, name) for name in ROUTINES)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import balm.problems as problems
 import balm.solvers as solvers
 from balm.bench import build_config, config_params, generate_instance, metric_for
-from balm.errors import BalmError, DimensionMismatch
+from balm.errors import BalmError, ConfigInvalid, DimensionMismatch
 from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import PrimalDualPoint, SeparableProblem, default_start, flatten_blocks, kkt_residual
 from balm.solvers import (
@@ -27,6 +27,7 @@ from balm.solvers import (
     alt_split_step,
     balanced_alm_step,
     classic_alm_step,
+    generalized_step,
     ladmm_step,
     lalm_step,
     primal_dual_step,
@@ -191,6 +192,23 @@ def test_every_public_step_raises_dimension_mismatch_on_a_short_point(name, cut)
     short = PrimalDualPoint(w.x[:-1], w.lam) if cut == "x" else PrimalDualPoint(w.x, w.lam[:-1])
     with pytest.raises(DimensionMismatch):
         step(short)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in METHODS.items() if spec.flattens])
+def test_every_one_block_public_step_refuses_a_separable_problem(name):
+    """The row's single-block check, where balanced-alm's steps used to
+    fail with an IndexError from their per-block prox weights."""
+    prob = _instance("lasso_eq")
+    cfg = build_config(name, prob)
+    w = default_start(prob)
+    if name == "balanced-alm":
+        sys = build_h0(flatten_blocks(prob).a, cfg.r, cfg.delta)
+        steps = [lambda: balanced_alm_step(prob, cfg, sys, w), lambda: generalized_step(prob, cfg, sys, w)]
+    else:
+        steps = [lambda: _public_step(name, prob, cfg)(w)]
+    for step in steps:
+        with pytest.raises(ConfigInvalid, match=rf"^{name} expects a single-block problem \(flatten first\)$"):
+            step()
 
 
 def test_alt_split_run_factors_block_one_once(monkeypatch):

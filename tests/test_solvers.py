@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from balm.bench import build_config, generate_instance, metric_for
 from balm.errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
@@ -40,6 +41,7 @@ from balm.solvers import (
     split_metric,
 )
 
+import balm.solvers as solvers
 import support
 
 
@@ -125,6 +127,37 @@ def test_split_metric_single_block_matches_balanced():
     one = balanced_metric(a, 1.3, 0.2)
     other = split_metric([a], (1.3,), 0.2)
     assert np.array_equal(one, other)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    widths=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(1e-3, 1e3), min_size=7, max_size=7),
+)
+def test_dense_metric_builders_match_scipy_block_diag_byte_for_byte(widths, m, seed, weights):
+    """The top-left blocks were scipy.linalg.block_diag of r_i I (split)
+    and of block 1's Gram term and s I (alt-split)."""
+    rng = np.random.default_rng(seed)
+    a_list = [rng.standard_normal((m, n)) for n in widths]
+    r_list, (r, s, delta) = weights[: len(widths)], weights[-3:]
+
+    def bordered(top, a_list, corner):
+        a = np.hstack(a_list)
+        return np.block([[top, a.T], [a, corner]])
+
+    split = bordered(
+        block_diag(*(r_i * np.eye(a.shape[1]) for a, r_i in zip(a_list, r_list))),
+        a_list,
+        build_hp(list(zip(a_list, r_list)), delta).h,
+    )
+    a1, a2 = a_list[0], rng.standard_normal((m, widths[-1]))
+    alt = bordered(
+        block_diag(solvers._block_one_shift(a1, r, delta), s * np.eye(a2.shape[1])), [a1, a2], build_h2(a2, r, s, delta).h
+    )
+    for got, want in [(split_metric(a_list, r_list, delta), split), (alt_split_metric(a1, a2, r, s, delta), alt)]:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_split_metric_two_block_layout():
