@@ -3,8 +3,17 @@
 Problem files are canonical JSON (sorted keys, two-space indent); floats
 serialize through repr, the shortest decimal that reparses to the same
 bit pattern, so parse-then-serialize is the identity on canonical files.
+Each objective and set is {"kind": ...} plus the public dataclass fields
+of its prox class, looked up in one kind table per family
+(_OBJECTIVE_KINDS, _SET_KINDS); decoding calls the class, whose
+__post_init__ checks the fields, and any error in building the problem
+is a SchemaError.
+
 History tables are CSV with a single JSON metadata comment up front and
-carry full iterates, so every certificate can be replayed offline.
+carry full iterates, so every certificate can be replayed offline.  Their
+header is _history_columns of the metadata's n, m, has_reference and
+has_predictors: serialize_history writes it and history_from_table
+refuses any other.
 
 The method helpers (METHOD_NAMES, build_config, config_params,
 metric_for and history_from_table's flatten rule) each read one row of
@@ -16,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +37,6 @@ from .prox import Box, L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, 
 from .solvers import METHODS, MethodSpec, RunHistory, StopRule, run
 
 SCHEMA_VERSION = "1"
-GENERATOR_KINDS = ("random_qp_eq", "basis_pursuit", "lasso_eq", "nonneg_qp_ineq")
 METHOD_NAMES = tuple(METHODS)
 
 
@@ -42,16 +50,9 @@ def generate_instance(kind: str, dims: tuple, seed: int, sparsity: int | None = 
     m, n = dims
     if m < 1 or n < 1:
         raise InvalidDims(f"dims must be positive, got {dims}")
-    rng = np.random.default_rng(seed)
-    if kind == "random_qp_eq":
-        return _random_qp_eq(m, n, rng)
-    if kind == "basis_pursuit":
-        return _basis_pursuit(m, n, rng, sparsity)
-    if kind == "lasso_eq":
-        return _lasso_eq(m, n, rng, sparsity)
-    if kind == "nonneg_qp_ineq":
-        return _nonneg_qp_ineq(m, n, rng)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return _GENERATORS[kind](m, n, np.random.default_rng(seed), sparsity)
 
 
 def _random_spd(n: int, rng) -> np.ndarray:
@@ -60,7 +61,7 @@ def _random_spd(n: int, rng) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _random_qp_eq(m: int, n: int, rng):
+def _random_qp_eq(m: int, n: int, rng, _sparsity):
     """Equality QP with its saddle point read off the KKT system."""
     if m > n:
         raise InvalidDims("random_qp_eq needs m <= n for full-row-rank constraints")
@@ -78,17 +79,22 @@ def _random_qp_eq(m: int, n: int, rng):
     return prob, PrimalDualPoint(sol[:n], sol[n:])
 
 
+def _sparse_vector(n: int, k: int, rng) -> np.ndarray:
+    """k nonzero entries at random places, each of magnitude about 1 or more."""
+    if not 0 <= k <= n:
+        raise InvalidDims(f"sparsity {k} outside [0, {n}]")
+    x = np.zeros(n)
+    if k:
+        support = rng.choice(n, size=k, replace=False)
+        x[support] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
+    return x
+
+
 def _basis_pursuit(m: int, n: int, rng, sparsity):
     if m > n:
         raise InvalidDims("basis_pursuit needs m <= n")
-    k = max(1, m // 4) if sparsity is None else sparsity
-    if not 0 <= k <= n:
-        raise InvalidDims(f"sparsity {k} outside [0, {n}]")
     a = rng.standard_normal((m, n))
-    x_true = np.zeros(n)
-    if k:
-        support = rng.choice(n, size=k, replace=False)
-        x_true[support] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
+    x_true = _sparse_vector(n, max(1, m // 4) if sparsity is None else sparsity, rng)
     prob = Problem(L1(1.0), WholeSpace(), a, a @ x_true, Sense.EQUALITY)
     return prob, None
 
@@ -96,14 +102,8 @@ def _basis_pursuit(m: int, n: int, rng, sparsity):
 def _lasso_eq(m: int, n: int, rng, sparsity):
     """Lasso in two-block form: min gamma||x||_1 + 0.5||y - d||^2
     subject to A x - y = 0."""
-    k = max(1, n // 10) if sparsity is None else sparsity
-    if not 0 <= k <= n:
-        raise InvalidDims(f"sparsity {k} outside [0, {n}]")
     a = rng.standard_normal((m, n)) / np.sqrt(m)
-    x_true = np.zeros(n)
-    if k:
-        support = rng.choice(n, size=k, replace=False)
-        x_true[support] = rng.standard_normal(k) + np.sign(rng.standard_normal(k))
+    x_true = _sparse_vector(n, max(1, n // 10) if sparsity is None else sparsity, rng)
     d = a @ x_true + 0.05 * rng.standard_normal(m)
     gamma = 0.1 * float(np.max(np.abs(a.T @ d)))
     blocks = (
@@ -113,7 +113,7 @@ def _lasso_eq(m: int, n: int, rng, sparsity):
     return SeparableProblem(blocks, np.zeros(m), Sense.EQUALITY), None
 
 
-def _nonneg_qp_ineq(m: int, n: int, rng):
+def _nonneg_qp_ineq(m: int, n: int, rng, _sparsity):
     if m > n:
         raise InvalidDims("nonneg_qp_ineq needs m <= n for full-row-rank constraints")
     p = _random_spd(n, rng)
@@ -122,6 +122,16 @@ def _nonneg_qp_ineq(m: int, n: int, rng):
     b = a @ rng.standard_normal(n) + rng.standard_normal(m)
     prob = Problem(Quadratic(p, c), WholeSpace(), a, b, Sense.INEQUALITY)
     return prob, ineq_qp_reference(p, c, a, b)
+
+
+# each builder takes (m, n, rng, sparsity); the two QPs have no sparsity
+_GENERATORS = {
+    "random_qp_eq": _random_qp_eq,
+    "basis_pursuit": _basis_pursuit,
+    "lasso_eq": _lasso_eq,
+    "nonneg_qp_ineq": _nonneg_qp_ineq,
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def ineq_qp_reference(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> PrimalDualPoint:
@@ -161,69 +171,52 @@ def ineq_qp_reference(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
 # problem files
 
 
-def _encode_objective(theta):
-    if isinstance(theta, Zero):
-        return {"kind": "zero"}
-    if isinstance(theta, L1):
-        return {"kind": "l1", "weight": theta.weight}
-    if isinstance(theta, Quadratic):
-        return {"kind": "quadratic", "p": theta.p.tolist(), "c": theta.c.tolist()}
-    if isinstance(theta, Linear):
-        return {"kind": "linear", "c": theta.c.tolist()}
-    if isinstance(theta, SeparableSum):
-        return {"kind": "separable_sum", "parts": [_encode_objective(p) for p in theta.parts]}
-    raise SchemaError(f"cannot encode objective {type(theta).__name__}")
+# A spec is {"kind": ...} plus its class's public dataclass fields; the
+# class's __post_init__ checks and coerces what a file gives it.
+_OBJECTIVE_KINDS = {"zero": Zero, "l1": L1, "quadratic": Quadratic, "linear": Linear, "separable_sum": SeparableSum}
+_SET_KINDS = {"whole_space": WholeSpace, "nonnegative_orthant": NonnegativeOrthant, "box": Box}
+_KIND_OF = {cls: kind for kinds in (_OBJECTIVE_KINDS, _SET_KINDS) for kind, cls in kinds.items()}
 
 
-def _decode_objective(doc):
-    try:
-        kind = doc["kind"]
-        if kind == "zero":
-            return Zero()
-        if kind == "l1":
-            return L1(float(doc["weight"]))
-        if kind == "quadratic":
-            return Quadratic(np.array(doc["p"], dtype=float), np.array(doc["c"], dtype=float))
-        if kind == "linear":
-            return Linear(np.array(doc["c"], dtype=float))
-        if kind == "separable_sum":
-            return SeparableSum(tuple(_decode_objective(p) for p in doc["parts"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad objective entry: {exc}") from exc
-    raise SchemaError(f"unknown objective kind {kind!r}")
+def _spec_fields(cls) -> list:
+    return [f.name for f in fields(cls) if not f.name.startswith("_")]
 
 
-def _encode_set(spec):
-    if isinstance(spec, WholeSpace):
-        return {"kind": "whole_space"}
-    if isinstance(spec, NonnegativeOrthant):
-        return {"kind": "nonnegative_orthant"}
-    if isinstance(spec, Box):
-        return {"kind": "box", "lower": spec.lower.tolist(), "upper": spec.upper.tolist()}
-    raise SchemaError(f"cannot encode set {type(spec).__name__}")
+def _encode_spec(spec) -> dict:
+    """Numbers and arrays go out through tolist, a tuple of specs as a list of encoded specs."""
+    if type(spec) not in _KIND_OF:
+        raise SchemaError(f"cannot encode {type(spec).__name__}")
+    doc = {"kind": _KIND_OF[type(spec)]}
+    for name in _spec_fields(type(spec)):
+        value = getattr(spec, name)
+        doc[name] = [_encode_spec(part) for part in value] if isinstance(value, tuple) else np.asarray(value).tolist()
+    return doc
 
 
-def _decode_set(doc):
-    try:
-        kind = doc["kind"]
-        if kind == "whole_space":
-            return WholeSpace()
-        if kind == "nonnegative_orthant":
-            return NonnegativeOrthant()
-        if kind == "box":
-            return Box(np.array(doc["lower"], dtype=float), np.array(doc["upper"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad set entry: {exc}") from exc
-    raise SchemaError(f"unknown set kind {kind!r}")
+def _decode_spec(doc, kinds: dict):
+    """The spec of one of kinds' classes that doc encodes; a list of JSON
+    objects decodes as a tuple of specs from the same table."""
+    if doc["kind"] not in kinds:
+        raise SchemaError(f"unknown kind {doc['kind']!r}, expected one of {', '.join(kinds)}")
+    cls = kinds[doc["kind"]]
+    names = _spec_fields(cls)
+    if doc.keys() != {"kind", *names}:
+        raise SchemaError(f"{doc['kind']} takes the keys kind, {', '.join(names)}; got {', '.join(sorted(doc))}")
+    args = {name: doc[name] for name in names}
+    for name, value in args.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            args[name] = tuple(_decode_spec(part, kinds) for part in value)
+    return cls(**args)
 
 
 def _encode_block(blk) -> dict:
-    return {"objective": _encode_objective(blk.theta), "set": _encode_set(blk.x_set), "a": blk.a.tolist()}
+    return {"objective": _encode_spec(blk.theta), "set": _encode_spec(blk.x_set), "a": blk.a.tolist()}
 
 
 def _decode_block(doc) -> tuple:
     """(theta, x_set, a) of one block's entries, for a Block or a Problem."""
-    return _decode_objective(doc["objective"]), _decode_set(doc["set"]), np.array(doc["a"], dtype=float)
+    objective, x_set = _decode_spec(doc["objective"], _OBJECTIVE_KINDS), _decode_spec(doc["set"], _SET_KINDS)
+    return objective, x_set, np.array(doc["a"], dtype=float)
 
 
 def serialize_problem(prob, reference: PrimalDualPoint | None = None) -> str:
@@ -232,9 +225,7 @@ def serialize_problem(prob, reference: PrimalDualPoint | None = None) -> str:
         "schema_version": SCHEMA_VERSION,
         "sense": prob.sense.value,
         "b": prob.b.tolist(),
-        "reference": None
-        if reference is None
-        else {"x": reference.x.tolist(), "lambda": reference.lam.tolist()},
+        "reference": None if reference is None else {"x": reference.x.tolist(), "lambda": reference.lam.tolist()},
     }
     if isinstance(prob, SeparableProblem):
         doc.update(objective=None, set=None, a=None, blocks=[_encode_block(blk) for blk in prob.blocks])
@@ -259,7 +250,8 @@ def parse_problem(text: str):
             prob = SeparableProblem(tuple(Block(*_decode_block(blk)) for blk in doc["blocks"]), b, sense)
         else:
             prob = Problem(*_decode_block(doc), b, sense)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BalmError) as exc:
+        # the constructors' DimensionMismatch and NotPositiveDefinite included
         raise SchemaError(f"bad problem file: {exc}") from exc
     ref_doc = doc.get("reference")
     return prob, None if ref_doc is None else _decode_reference(ref_doc, prob)
@@ -314,32 +306,30 @@ def read_reference(path: str, prob) -> PrimalDualPoint:
 # history tables
 
 
+def _history_columns(n: int, m: int, has_reference: bool, has_predictors: bool) -> list:
+    """The one header of a history table: k, the KKT residual components,
+    step_h, dist_h when a reference is known, the iterate, and for a
+    relaxed run the predictor."""
+    cols = ["k", "primal", "dual", "complementarity", "step_h"] + (["dist_h"] if has_reference else [])
+    cols += [f"x_{i}" for i in range(n)] + [f"lam_{j}" for j in range(m)]
+    if has_predictors:
+        cols += [f"px_{i}" for i in range(n)] + [f"plam_{j}" for j in range(m)]
+    return cols
+
+
 def serialize_history(history: RunHistory, method: str, params: dict) -> str:
     n = history.iterates[0].x.size
     m = history.iterates[0].lam.size
-    meta = {
-        "schema": 1,
-        "method": method,
-        "params": params,
-        "n": n,
-        "m": m,
-        "converged": history.converged,
-        "has_reference": history.h_distances is not None,
-        "has_predictors": history.predictors is not None,
-    }
-    cols = ["k", "primal", "dual", "complementarity", "step_h"]
-    if history.h_distances is not None:
-        cols.append("dist_h")
-    cols += [f"x_{i}" for i in range(n)] + [f"lam_{j}" for j in range(m)]
-    if history.predictors is not None:
-        cols += [f"px_{i}" for i in range(n)] + [f"plam_{j}" for j in range(m)]
-    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(cols)]
+    has_reference, has_predictors = history.h_distances is not None, history.predictors is not None
+    meta = {"schema": 1, "method": method, "params": params, "n": n, "m": m, "converged": history.converged,
+            "has_reference": has_reference, "has_predictors": has_predictors}
+    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(_history_columns(n, m, has_reference, has_predictors))]
     for k, (w, res) in enumerate(zip(history.iterates, history.residuals)):
         parts = [[res.primal, res.dual, res.complementarity, history.successive_h_steps[k]]]
-        if history.h_distances is not None:
+        if has_reference:
             parts.append([history.h_distances[k]])
         parts += [w.x, w.lam]
-        if history.predictors is not None:
+        if has_predictors:
             # predictors lead the iterate list by one step; pad the first row
             pred = history.predictors[k - 1] if k >= 1 else history.iterates[0]
             parts += [pred.x, pred.lam]
@@ -353,7 +343,11 @@ def write_history(path: str, history: RunHistory, method: str, params: dict) -> 
 
 
 def read_history_table(path: str):
-    """Parse a history table into (meta, columns-as-float-lists)."""
+    """Parse a history table into (meta, {name: column}), each column a
+    float array; all of them are views of one matrix, filled row by row.
+    A missing metadata line, a repeated column name, a ragged row or a
+    cell that is not a float raises SchemaError.  The header is checked
+    against the metadata by history_from_table."""
     lines = _read_text(path).splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise SchemaError("history table is missing its metadata line")
@@ -362,18 +356,20 @@ def read_history_table(path: str):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad metadata line: {exc}") from exc
     names = lines[1].split(",")
-    cols = {name: [] for name in names}
+    rows = [ln for ln in lines[2:] if ln]
+    table = np.empty((len(rows), len(names)))
     try:
-        for ln in lines[2:]:
-            if not ln:
-                continue
-            parts = ln.split(",")
-            if len(parts) != len(names):
+        for i, ln in enumerate(rows):
+            cells = ln.split(",")
+            if len(cells) != len(names):
                 raise SchemaError("ragged history table row")
-            for name, val in zip(names, parts):
-                cols[name].append(float(val))
+            # one row of strings at a time: all of them at once would outweigh the floats
+            table[i] = cells
     except ValueError as exc:
         raise SchemaError(f"bad history table cell: {exc}") from exc
+    cols = dict(zip(names, table.T))
+    if len(cols) != len(names):
+        raise SchemaError("history table repeats a column name")
     return meta, cols
 
 
@@ -392,38 +388,41 @@ def metric_for(method: str, params: dict, prob) -> Metric:
 
 def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     """Reconstruct a RunHistory (iterates, predictors, metric) from a
-    parsed table; residuals are recomputed from the iterates.  A table
-    that lacks a field, or does not fit prob, raises SchemaError."""
+    parsed table; residuals are recomputed from the iterates.  The header
+    must be the one the metadata's n, m, has_reference and has_predictors
+    give.  A table that lacks a field, has another header, or does not
+    fit prob raises SchemaError."""
     if not isinstance(meta, dict) or not {"n", "m", "method", "params"} <= meta.keys():
         raise SchemaError("history metadata needs n, m, method and params")
     n, m, params = meta["n"], meta["m"], meta["params"]
     if not (type(n) is type(m) is int and (n, m) == (prob.n, prob.m) and isinstance(params, dict)):
         raise SchemaError(f"history n={n!r}, m={m!r}, params={params!r} do not fit the problem's n={prob.n}, m={prob.m}")
+    has_reference, has_predictors = bool(meta.get("has_reference")), bool(meta.get("has_predictors"))
+    header = _history_columns(n, m, has_reference, has_predictors)
+    if list(cols) != header:
+        raise SchemaError(f"history header is not the one of n={n}, m={m}, has_reference={has_reference},"
+                          f" has_predictors={has_predictors}")
 
-    def points(x: str, lam: str, first: int) -> list:
-        xs = [cols[f"{x}_{i}"] for i in range(n)]
-        lams = [cols[f"{lam}_{j}"] for j in range(m)]
-        return [
-            PrimalDualPoint(np.array([c[row] for c in xs]), np.array([c[row] for c in lams]))
-            for row in range(first, len(cols["k"]))
-        ]
+    def points(at: int, first_row: int) -> list:
+        return [PrimalDualPoint(row[at : at + n], row[at + n : at + n + m]) for row in table[first_row:]]
 
     try:
+        table = np.column_stack(list(cols.values()))
         spec = _method(meta["method"])
         run_prob = spec.problem(prob)
-        iterates = points("x", "lam", 0)
-        predictors = points("px", "plam", 1) if meta.get("has_predictors") else None
-        steps, metric = cols["step_h"], spec.metric(run_prob, params)
+        metric = spec.metric(run_prob, params)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"history table lacks a column, method or parameter: {exc!r}") from exc
-    if not iterates:
+        raise SchemaError(f"history columns, method or parameters unusable: {exc!r}") from exc
+    if not len(table):
         raise SchemaError("history table has no rows")
+    iterates = points(header.index("x_0"), 0)
     return RunHistory(
         iterates=iterates,
         residuals=[kkt_residual(run_prob, w) for w in iterates],
-        successive_h_steps=steps,
-        h_distances=cols.get("dist_h"),
-        predictors=predictors,
+        successive_h_steps=table[:, header.index("step_h")].tolist(),
+        h_distances=table[:, header.index("dist_h")].tolist() if has_reference else None,
+        # predictors lead the iterates by one step; row 0 only pads the table
+        predictors=points(header.index("px_0"), 1) if has_predictors else None,
         metric=metric,
         converged=bool(meta.get("converged")),
     )

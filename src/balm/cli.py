@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 non-convergence or a failed certificate,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bench
@@ -20,17 +21,23 @@ EXIT_BAD_CONFIG = 2
 EXIT_BAD_IO = 3
 
 
+def _float_list(text: str):
+    return tuple(float(tok) for tok in text.split(",")) if text else None
+
+
 def _add_shared_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=float, default=1.0, help="primal prox weight")
-    p.add_argument("--delta", type=float, default=0.01, help="dual metric shift")
-    p.add_argument("--alpha", type=float, default=1.0, help="relaxation factor in (0, 2)")
-    p.add_argument("--s", type=float, default=None, help="dual/second-block stepsize")
-    p.add_argument("--sigma", type=float, default=None, help="linearization weight for lalm")
-    p.add_argument("--r-list", default=None, help="comma-separated per-block prox weights")
+    # no defaults here: bench.build_config's apply to every solver flag not given
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--r", type=float, help="primal prox weight")
+    flag("--delta", type=float, help="dual metric shift")
+    flag("--alpha", type=float, help="relaxation factor in (0, 2)")
+    flag("--s", type=float, help="dual/second-block stepsize")
+    flag("--sigma", type=float, help="linearization weight for lalm")
+    flag("--r-list", type=_float_list, help="comma-separated per-block prox weights")
     sharp = " and ".join(name for name, spec in METHODS.items() if spec.sharp_bounds)
-    p.add_argument("--sharp-bounds", action="store_true", help=f"relax the stepsize condition of {sharp} by 0.75")
-    p.add_argument("--inner-tol", type=float, default=1e-10)
-    p.add_argument("--inner-max-iters", type=int, default=50_000)
+    flag("--sharp-bounds", action="store_true", help=f"relax the stepsize condition of {sharp} by 0.75")
+    flag("--inner-tol", type=float)
+    flag("--inner-max-iters", type=int)
     p.add_argument("--tol", type=float, default=1e-8, help="KKT stopping tolerance")
     p.add_argument("--max-iters", type=int, default=100_000)
 
@@ -71,11 +78,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _flags(args) -> dict:
-    """The shared solver flags as bench.build_config keywords."""
-    keys = ("r", "delta", "alpha", "s", "sigma", "sharp_bounds", "inner_tol", "inner_max_iters")
-    flags = {key: getattr(args, key) for key in keys}
-    flags["r_list"] = tuple(float(tok) for tok in args.r_list.split(",")) if args.r_list else None
-    return flags
+    """The shared solver flags given on the command line, as bench.build_config keywords."""
+    keys = ("r", "delta", "alpha", "s", "sigma", "r_list", "sharp_bounds", "inner_tol", "inner_max_iters")
+    return {key: value for key, value in vars(args).items() if key in keys}
 
 
 def _cmd_generate(args) -> int:

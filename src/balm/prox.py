@@ -31,6 +31,7 @@ class L1:
     weight: float
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", float(self.weight))
         if not self.weight >= 0:
             raise ValueError("l1 weight must be nonnegative")
 

@@ -214,6 +214,8 @@ class BalancedMetric(Metric):
         self.a_list = [np.asarray(a, dtype=float) for a in a_list]
         self.r_list = tuple(r_list)
         self.delta = delta
+        if len(self.r_list) != len(self.a_list):
+            raise ValueError(f"{len(self.r_list)} prox weights for {len(self.a_list)} blocks")
         if not (delta > 0 and all(r > 0 for r in self.r_list)):
             raise ValueError("r and delta must be positive")
         super().__init__(sum(a.shape[1] for a in self.a_list), self.a_list[0].shape[0])

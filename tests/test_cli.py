@@ -62,3 +62,14 @@ def test_solve_prints_the_prefix_of_the_matchup_report_row(tmp_path, capsys, kin
         header, row = fh.read().splitlines()
     assert header.startswith("# matchup") and solve_line.startswith(f"method={method} status=")
     assert row.startswith(solve_line + " wall_time=")
+
+
+def test_solver_flags_forward_only_what_is_given():
+    """bench.build_config's keyword defaults are the only ones: a solver
+    flag left out is not forwarded, and the stop rule keeps its own."""
+    base = ["solve", "--problem", "p.json", "--method", "split-balanced"]
+    args = cli._parser().parse_args(base)
+    assert cli._flags(args) == {}
+    assert (args.tol, args.max_iters) == (1e-8, 100_000)
+    args = cli._parser().parse_args(base + ["--r", "2", "--r-list", "1,2.5", "--sharp-bounds", "--inner-max-iters", "7"])
+    assert cli._flags(args) == {"r": 2.0, "r_list": (1.0, 2.5), "sharp_bounds": True, "inner_max_iters": 7}
