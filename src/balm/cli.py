@@ -138,7 +138,7 @@ def _cmd_certify(args) -> int:
         all_ok &= cert.passes
         print(
             f"gap: {'PASS' if cert.passes else 'FAIL'} (t={cert.t}, probes={len(cert.probe_points)},"
-            f" max_lhs={cert.max_lhs:.6e}, bound={cert.bound:.6e})"
+            f" max_lhs={cert.max_lhs:.6e}, bound={cert.bound:.6e}, projected={cert.projected_probes})"
         )
     return EXIT_OK if all_ok else EXIT_NO_CONVERGENCE
 

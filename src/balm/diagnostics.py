@@ -15,11 +15,13 @@ import numpy as np
 from .errors import InsufficientHistory, MissingReference
 from .linalg import h_quadratic
 from .problems import PrimalDualPoint, multiplier_set, total_objective, vi_operator
-from .prox import contains, project
+from .prox import members, project
 
 CONTRACTION_SLACK_TOL = 1e-9
 GAP_TOL = 1e-8
 _REJECTION_CAP = 1000
+# rejection draws per batch: doubling from one, then the rest of the cap
+_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, _REJECTION_CAP - 511)
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class GapCertificate:
     max_lhs and bound belong to the worst probe (largest lhs - bound);
     the certificate passes iff that probe satisfies its own bound, which
     implies every sampled probe does.  probe_count = 0 passes vacuously
-    with max_lhs = -inf.
+    with max_lhs = -inf.  projected_probes counts the probes that no
+    rejection draw reached and that were projected instead.
     """
 
     t: int
@@ -54,6 +57,7 @@ class GapCertificate:
     probe_points: tuple
     max_lhs: float
     bound: float
+    projected_probes: int = 0
 
     @property
     def passes(self) -> bool:
@@ -105,11 +109,18 @@ def contraction_ledger(history, h, w_star: PrimalDualPoint, alpha: float = 1.0) 
     return certs
 
 
+def _feasible_mask(prob, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Membership of each point (x, lam), read along the last axis, in
+    the feasible product set: the multiplier set times every block's set."""
+    ok = members(multiplier_set(prob), lam)
+    for blk, xi in zip(prob.blocks, prob.split(x)):
+        ok &= members(blk.x_set, xi)
+    return ok
+
+
 def _feasible(prob, x: np.ndarray, lam: np.ndarray) -> bool:
-    # the multiplier test first: in the orthant it rejects most draws
-    return contains(multiplier_set(prob), lam) and all(
-        contains(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))
-    )
+    """The gap sampler's accept test of one point (x, lam)."""
+    return bool(_feasible_mask(prob, x, lam))
 
 
 def _project_feasible(prob, x: np.ndarray, lam: np.ndarray):
@@ -117,27 +128,59 @@ def _project_feasible(prob, x: np.ndarray, lam: np.ndarray):
     return x_p, project(multiplier_set(prob), lam)
 
 
-def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:
-    """Uniform draw from the unit ball around the ergodic point,
-    intersected with the feasible product set by rejection.  A capped
-    rejection loop falls back to projection, which cannot leave the
-    ball because the center itself is feasible."""
+def _draw_probe(prob, center: np.ndarray, n: int, rng) -> tuple:
+    """(w, projected): a probe, stacked as (x, lambda), drawn uniformly
+    from the unit ball around center by rejection against the feasible
+    product set.
+
+    Draws come in batches of _BATCHES, each batch a block of directions,
+    then a block of radii, from rng; the probe is the first feasible draw
+    in stream order.  One screen of a batch finds its first feasible row,
+    which _feasible, the accept test, then confirms.  Batch one is a
+    single draw, so a probe accepted at its first draw uses the stream
+    exactly as a one-draw-at-a-time loop.  When all _REJECTION_CAP draws
+    fail, the last one is projected onto the feasible set instead
+    (projected = True); the projection cannot leave the ball because the
+    center itself is feasible.
+    """
     dim = center.size
     inv_dim = 1.0 / dim
-    for _ in range(_REJECTION_CAP):
-        direction = rng.standard_normal(dim)
-        direction /= math.sqrt(direction.dot(direction))  # np.linalg.norm, bit for bit
-        w = center + (rng.random() ** inv_dim) * direction
-        if _feasible(prob, w[:n], w[n:]):
-            return PrimalDualPoint(w[:n], w[n:])
-    x_p, lam_p = _project_feasible(prob, w[:n], w[n:])
-    return PrimalDualPoint(x_p, lam_p)
+    for size in _BATCHES:
+        directions = rng.standard_normal((size, dim))
+        radii = [u ** inv_dim for u in rng.random(size).tolist()]  # Python's pow: numpy's differs in bits
+        norms = [math.sqrt(d.dot(d)) for d in directions]  # np.linalg.norm per row, bit for bit
+        # w = center + radius * (direction / norm), in place
+        w = directions
+        w /= np.array(norms)[:, None]
+        w *= np.array(radii)[:, None]
+        w += center
+        # the first feasible row, or row 0 when none is; one row needs no screen
+        i = int(_feasible_mask(prob, w[:, :n], w[:, n:]).argmax()) if size > 1 else 0
+        w_i = w[i].copy()  # the probe does not keep its batch alive
+        if _feasible(prob, w_i[:n], w_i[n:]):
+            return w_i, False
+    return np.concatenate(_project_feasible(prob, w[-1, :n], w[-1, n:])), True
+
+
+def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:
+    """The probe of _draw_probe as a point, without its projection flag."""
+    return PrimalDualPoint.from_array(_draw_probe(prob, center, n, rng)[0], n)
 
 
 def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertificate:
     """Sample feasible probes near the ergodic average and compare the
     saddle-point gap against its (2(t+1))^-1-scaled squared-distance
-    bound, measured in the run's own metric from the run's start."""
+    bound, measured in the run's own metric from the run's start.
+
+    Each probe is the first feasible point among up to _REJECTION_CAP
+    (1,000) uniform draws from the unit ball around the ergodic average,
+    drawn in batches of 1, 2, 4, ..., 256 and then the remaining 489.
+    When no draw is feasible, the last one is projected onto the feasible
+    set instead, and counted in projected_probes.  Equality problems over
+    the whole space accept every probe at its first draw.  On an
+    inequality problem, each multiplier at zero halves the share of the
+    ball that is feasible, so with a dozen or more of them the projection
+    is the rule rather than the exception."""
     w_t = ergodic_average(history, t)
     h = history.metric
     w0 = history.iterates[0].as_array()
@@ -147,12 +190,14 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     rng = np.random.default_rng(rng_seed)
 
     probes = []
+    projected = 0
     worst_margin = -np.inf
     max_lhs, bound_at_worst = -np.inf, 0.0
     for _ in range(probe_count):
-        probe = _sample_probe(prob, center, n, rng)
+        w_arr, was_projected = _draw_probe(prob, center, n, rng)
+        probe = PrimalDualPoint.from_array(w_arr, n)
         probes.append(probe)
-        w_arr = probe.as_array()
+        projected += was_projected
         lhs = theta_avg - total_objective(prob, probe.x) + float((center - w_arr) @ vi_operator(prob, probe))
         bnd = h_quadratic(h, w_arr - w0) / (2.0 * (t + 1))
         if lhs - bnd > worst_margin:
@@ -164,4 +209,5 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
         probe_points=tuple(probes),
         max_lhs=max_lhs,
         bound=bound_at_worst,
+        projected_probes=projected,
     )

@@ -137,12 +137,13 @@ class SeparableProblem:
         return tuple(blk.n for blk in self.blocks)
 
     def split(self, x: np.ndarray) -> list:
-        """Views of the stacked primal vector, one per block."""
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.n},)")
+        """Views of the stacked primal vector, one per block; a batch of
+        stacked vectors, one per row, splits along its last axis."""
+        if x.shape[-1:] != (self.n,):
+            raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.n},) or (k, {self.n})")
         out, at = [], 0
         for blk in self.blocks:
-            out.append(x[at : at + blk.n])
+            out.append(x[..., at : at + blk.n])
             at += blk.n
         return out
 

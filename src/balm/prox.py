@@ -183,15 +183,22 @@ def project(spec, v: np.ndarray) -> np.ndarray:
     raise UnsupportedObjective(f"unknown set spec {type(spec).__name__}")
 
 
-def contains(spec, v: np.ndarray, tol: float = 0.0) -> bool:
-    """Membership test, optionally with slack tol."""
+def members(spec, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Membership of each vector along v's last axis, optionally with
+    slack tol: a boolean array of shape v.shape[:-1], or for the whole
+    space a True that broadcasts against it."""
     if isinstance(spec, WholeSpace):
-        return True
+        return np.True_
     if isinstance(spec, NonnegativeOrthant):
-        return bool(np.all(v >= -tol))
+        return np.all(v >= -tol, axis=-1)
     if isinstance(spec, Box):
-        return bool(np.all(v >= spec.lower - tol) and np.all(v <= spec.upper + tol))
+        return np.all(v >= spec.lower - tol, axis=-1) & np.all(v <= spec.upper + tol, axis=-1)
     raise UnsupportedObjective(f"unknown set spec {type(spec).__name__}")
+
+
+def contains(spec, v: np.ndarray, tol: float = 0.0) -> bool:
+    """Membership test of one vector, optionally with slack tol."""
+    return bool(members(spec, v, tol))
 
 
 def objective_value(theta, x: np.ndarray) -> float:

@@ -19,7 +19,9 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from balm import (
     Block,
+    Box,
     Linear,
+    NonnegativeOrthant,
     PrimalDualPoint,
     Problem,
     Quadratic,
@@ -201,6 +203,67 @@ def contraction_ledger_three_term(history, h, w_star, alpha: float = 1.0) -> lis
         step = h_quadratic(h, w_k - target)
         certs.append(ContractionCertificate(k, before, after, step, before - after - scale * step))
     return certs
+
+
+# draws per batch of the gap sampler: doubling from one, 1,000 in all
+GAP_SAMPLER_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 489)
+
+
+def _in_set_oracle(spec, v) -> bool:
+    if isinstance(spec, WholeSpace):
+        return True
+    if isinstance(spec, NonnegativeOrthant):
+        return all(vi >= 0.0 for vi in v.tolist())
+    if isinstance(spec, Box):
+        return all(lo <= vi <= hi for lo, vi, hi in zip(spec.lower.tolist(), v.tolist(), spec.upper.tolist()))
+    raise TypeError(type(spec).__name__)
+
+
+def gap_feasible_oracle(prob, w: np.ndarray, n: int) -> bool:
+    """Whether the stacked point w = (x, lambda) lies in every block's set
+    and, for an inequality problem, has lambda >= 0; tested coordinate by
+    coordinate."""
+    if prob.sense is Sense.INEQUALITY and not _in_set_oracle(NonnegativeOrthant(), w[n:]):
+        return False
+    at = 0
+    for blk in prob.blocks:
+        if not _in_set_oracle(blk.x_set, w[at : at + blk.n]):
+            return False
+        at += blk.n
+    return True
+
+
+def gap_probe_oracle(prob, center: np.ndarray, n: int, rng):
+    """The gap sampler's law, one draw at a time.
+
+    The stream is read batch by batch as the schedule lays it out (a
+    batch's directions, then its radii), and each draw is then tested
+    on its own.  Returns (w, projected, draws): the first feasible draw
+    with the number of draws up to and including it, or, when no draw of
+    the whole schedule passes, the projection of the last one onto the
+    feasible set.
+    """
+    dim = center.size
+    draws = 0
+    for size in GAP_SAMPLER_BATCHES:
+        directions = rng.standard_normal((size, dim))
+        uniforms = rng.random(size).tolist()
+        for d, u in zip(directions, uniforms):
+            draws += 1
+            w = center + (u ** (1.0 / dim)) * (d / math.sqrt(d.dot(d)))
+            if gap_feasible_oracle(prob, w, n):
+                return w, False, draws
+    parts, at = [], 0
+    for blk in prob.blocks:
+        v = w[at : at + blk.n]
+        at += blk.n
+        if isinstance(blk.x_set, NonnegativeOrthant):
+            v = np.maximum(v, 0.0)
+        elif isinstance(blk.x_set, Box):
+            v = np.clip(v, blk.x_set.lower, blk.x_set.upper)
+        parts.append(v)
+    lam = np.maximum(w[n:], 0.0) if prob.sense is Sense.INEQUALITY else w[n:]
+    return np.concatenate(parts + [lam]), True, draws
 
 
 # ---------------------------------------------------------------------------

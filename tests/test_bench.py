@@ -585,6 +585,20 @@ def test_cli_certify_passes(tmp_path, capsys):
     assert "gap: PASS" in out
 
 
+@pytest.mark.parametrize("kind, m, n, projected", [("random_qp_eq", 2, 4, 0), ("nonneg_qp_ineq", 30, 60, 5)])
+def test_cli_certify_reports_projected_probes(tmp_path, capsys, kind, m, n, projected):
+    ppath = str(tmp_path / "p.json")
+    cli.main(["generate", "--kind", kind, "--m", str(m), "--n", str(n), "--seed", "1", "--out", ppath])
+    hpath = str(tmp_path / "h.csv")
+    cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--history", hpath])
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "gap", "--probes", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "gap: PASS" in out
+    assert f"projected={projected})" in out
+
+
 def test_cli_certify_detects_corruption(tmp_path, capsys):
     ppath = str(tmp_path / "p.json")
     cli.main(["generate", "--kind", "random_qp_eq", "--m", "2", "--n", "4", "--seed", "3", "--out", ppath])

@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from balm import bench
 from balm.diagnostics import (
     ContractionCertificate,
     GapCertificate,
+    _draw_probe,
     contraction_ledger,
     ergodic_average,
     vi_gap,
 )
 from balm.errors import InsufficientHistory, MissingReference
 from balm.linalg import h_quadratic
-from balm.problems import PrimalDualPoint, Problem, Sense
-from balm.prox import NonnegativeOrthant, Quadratic, contains
+from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense
+from balm.prox import Box, NonnegativeOrthant, Quadratic, contains
 from balm.solvers import BalancedAlmConfig, RunHistory, StopRule, run
 
 import support
@@ -239,3 +242,152 @@ def test_contraction_ledger_evaluates_each_distance_once(alpha, dense, monkeypat
         assert got.step_h == want.step_h
         assert got.slack == want.slack
     assert len(calls) == 2 * len(certs) + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 20),
+    two_block=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(0, 3),
+)
+def test_vi_gap_first_draw_probes_keep_the_per_draw_stream_bits(n, m, two_block, seed, t):
+    """Equality problems over the whole space accept every probe at its
+    first draw, a batch of one: the probes are those of a loop that draws
+    a direction, then a radius, per probe."""
+    rng = np.random.default_rng(seed)
+    m = min(m, n)  # the instance builders solve for a saddle point
+    if two_block and n >= 2:
+        prob, _ = support.two_block_qp(rng, n // 2, n - n // 2, m)
+    else:
+        prob, _ = support.random_eq_qp(rng, n, m)
+    hist = _history([(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)], np.eye(n + m))
+    cert = vi_gap(prob, hist, t, probe_count=5, rng_seed=seed)
+    assert cert.projected_probes == 0
+
+    center = ergodic_average(hist, t).as_array()
+    dim = center.size
+    replay = np.random.default_rng(seed)
+    for probe in cert.probe_points:
+        d = replay.standard_normal(dim)
+        d /= np.linalg.norm(d)
+        w = center + (replay.random() ** (1.0 / dim)) * d
+        assert probe.x.tobytes() == w[:n].tobytes()
+        assert probe.lam.tobytes() == w[n:].tobytes()
+
+
+def _box(rng, k: int) -> Box:
+    lower, upper = -rng.uniform(0.2, 2.0, k), rng.uniform(0.2, 2.0, k)
+    lower[rng.random(k) < 0.2] = -np.inf
+    upper[rng.random(k) < 0.2] = np.inf
+    return Box(lower, upper)
+
+
+def _constrained_case(seed: int, layout: str, sense: Sense, n: int, m: int, active: int):
+    """A problem whose primal set is an orthant, a box, or both (two
+    blocks), and a feasible center with up to `active` coordinates on a
+    face of the feasible set; the others lie inside it."""
+    rng = np.random.default_rng(seed)
+    theta = lambda k: Quadratic(np.eye(k), np.zeros(k))
+    b = np.zeros(m)
+    if layout == "orthant+box":
+        n1 = n // 2
+        sets = (NonnegativeOrthant(), _box(rng, n - n1))
+        blocks = tuple(Block(theta(k), x_set, rng.standard_normal((m, k))) for k, x_set in zip((n1, n - n1), sets))
+        prob = SeparableProblem(blocks, b, sense)
+    else:
+        x_set = NonnegativeOrthant() if layout == "orthant" else _box(rng, n)
+        prob = Problem(theta(n), x_set, rng.standard_normal((m, n)), b, sense)
+    inside, faces = [], []
+    for blk in prob.blocks:
+        if isinstance(blk.x_set, NonnegativeOrthant):
+            inside.append(rng.uniform(0.05, 1.5, blk.n))
+            faces.append(np.zeros(blk.n))
+        else:
+            lo, hi = blk.x_set.lower, blk.x_set.upper
+            mid = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
+            inside.append(np.minimum(mid + rng.uniform(0.05, 0.3, blk.n), hi))
+            faces.append(np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, np.nan)))
+    if sense is Sense.INEQUALITY:
+        inside.append(rng.uniform(0.05, 1.5, m))
+        faces.append(np.zeros(m))
+    else:
+        inside.append(rng.standard_normal(m))
+        faces.append(np.full(m, np.nan))
+    center, face = np.concatenate(inside), np.concatenate(faces)
+    on_face = rng.permutation(np.flatnonzero(~np.isnan(face)))[:active]
+    center[on_face] = face[on_face]
+    assert support.gap_feasible_oracle(prob, center, n)
+    return prob, center
+
+
+def _check_probes_against_oracle(prob, center, seed: int, count: int) -> list:
+    n = prob.n
+    lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws_made = []
+    for _ in range(count):
+        w, projected = _draw_probe(prob, center, n, lib_rng)
+        want, want_projected, draws = support.gap_probe_oracle(prob, center, n, ref_rng)
+        # the first feasible draw in stream order, or the projected last draw
+        assert w.tobytes() == want.tobytes()
+        # projected exactly when none of the draws passed
+        assert projected == want_projected
+        assert draws <= 1000
+        # no draw past the batch that held the accepted one
+        assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert support.gap_feasible_oracle(prob, w, n)
+        assert np.linalg.norm(w - center) <= 1.0 + 1e-12
+        draws_made.append(draws if not projected else None)
+    return draws_made
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(("orthant", "box", "orthant+box")),
+    sense=st.sampled_from((Sense.EQUALITY, Sense.INEQUALITY)),
+    n=st.integers(2, 8),
+    m=st.integers(1, 6),
+    active=st.integers(0, 14),
+)
+def test_gap_sampler_matches_its_one_draw_oracle(seed, layout, sense, n, m, active):
+    prob, center = _constrained_case(seed, layout, sense, n, m, active)
+    _check_probes_against_oracle(prob, center, seed, count=3)
+
+
+@pytest.mark.parametrize("active, regime", [(0, "first draw"), (8, "later batch"), (20, "projected")])
+def test_gap_sampler_reaches_each_regime(active, regime):
+    """With every other coordinate 2 inside the orthant, each of `active`
+    faces through the center halves the feasible share of the ball: none
+    keeps every probe at its first draw, 8 leave a 1/256 share, and 20
+    leave no draw of the 1,000 feasible."""
+    rng = np.random.default_rng(5)
+    prob = Problem(Quadratic(np.eye(12), np.zeros(12)), NonnegativeOrthant(), rng.standard_normal((8, 12)), np.zeros(8), Sense.INEQUALITY)
+    center = np.full(20, 2.0)
+    center[:active] = 0.0
+    draws = _check_probes_against_oracle(prob, center, seed=5, count=20)
+    if regime == "first draw":
+        assert draws == [1] * 20
+    elif regime == "later batch":
+        assert sum(d is not None and d > 1 for d in draws) >= 18
+    else:
+        assert draws == [None] * 20
+
+
+def test_vi_gap_projects_every_probe_on_nonneg_qp_ineq():
+    """On nonneg_qp_ineq 30x60 about half of the multipliers sit at zero
+    at the ergodic point, so no draw is feasible and every probe is the
+    projection fallback; the probes equal the oracle's."""
+    prob, _ = bench.generate_instance("nonneg_qp_ineq", (30, 60), 1)
+    hist = run(prob, bench.build_config("balanced-alm", prob, alpha=1.5), StopRule(2000, 1e-8))
+    t, count = len(hist.iterates) - 2, 6
+    cert = vi_gap(prob, hist, t, probe_count=count, rng_seed=0)
+    assert cert.projected_probes == count
+    assert cert.passes
+    center = ergodic_average(hist, t).as_array()
+    rng = np.random.default_rng(0)
+    for probe in cert.probe_points:
+        want, projected, _ = support.gap_probe_oracle(prob, center, prob.n, rng)
+        assert projected
+        assert probe.as_array().tobytes() == want.tobytes()
