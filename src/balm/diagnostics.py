@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory, MissingReference
-from .linalg import h_quadratic
+from .linalg import dot_rows, h_quadratic
 from .problems import PrimalDualPoint, multiplier_set, total_objective, vi_operator
 from .prox import members, project
 
 CONTRACTION_SLACK_TOL = 1e-9
 GAP_TOL = 1e-8
 _REJECTION_CAP = 1000
+_BLOCK = 32  # probes drawn, then scored as one stack
 # rejection draws per batch: doubling from one, then the rest of the cap
 _BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, _REJECTION_CAP - 511)
 
@@ -47,9 +48,10 @@ class GapCertificate:
 
     max_lhs and bound belong to the worst probe (largest lhs - bound);
     the certificate passes iff that probe satisfies its own bound, which
-    implies every sampled probe does.  probe_count = 0 passes vacuously
-    with max_lhs = -inf.  projected_probes counts the probes that no
-    rejection draw reached and that were projected instead.
+    implies every sampled probe does.  A worst probe whose lhs - bound is
+    nan fails.  probe_count = 0 passes vacuously with max_lhs = -inf.
+    projected_probes counts the probes that no rejection draw reached and
+    that were projected instead.
     """
 
     t: int
@@ -61,7 +63,7 @@ class GapCertificate:
 
     @property
     def passes(self) -> bool:
-        return self.max_lhs <= self.bound + GAP_TOL
+        return self.max_lhs <= self.bound + GAP_TOL and not math.isnan(self.max_lhs - self.bound)
 
 
 def ergodic_average(history, t: int) -> PrimalDualPoint:
@@ -180,7 +182,18 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     the whole space accept every probe at its first draw.  On an
     inequality problem, each multiplier at zero halves the share of the
     ball that is feasible, so with a dozen or more of them the projection
-    is the rule rather than the exception."""
+    is the rule rather than the exception.
+
+    The probes go in blocks of _BLOCK (32), each in two passes: the first
+    draws the block's probes one after another from the one stream, the
+    second stacks them as rows and scores them all at once, objective,
+    operator and metric each one call on the stack.  Every stacked
+    product is one BLAS call per row, the call one probe alone makes, so
+    each probe's lhs and bound have the bits of scoring it by itself.
+    The worst probe is the first with the largest lhs - bound; a probe
+    whose lhs - bound is nan (a non-finite ergodic point, say) is worse
+    than any other, so the first such probe is reported and the
+    certificate fails."""
     w_t = ergodic_average(history, t)
     h = history.metric
     w0 = history.iterates[0].as_array()
@@ -193,16 +206,21 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     projected = 0
     worst_margin = -np.inf
     max_lhs, bound_at_worst = -np.inf, 0.0
-    for _ in range(probe_count):
-        w_arr, was_projected = _draw_probe(prob, center, n, rng)
-        probe = PrimalDualPoint.from_array(w_arr, n)
-        probes.append(probe)
-        projected += was_projected
-        lhs = theta_avg - total_objective(prob, probe.x) + float((center - w_arr) @ vi_operator(prob, probe))
-        bnd = h_quadratic(h, w_arr - w0) / (2.0 * (t + 1))
-        if lhs - bnd > worst_margin:
-            worst_margin = lhs - bnd
-            max_lhs, bound_at_worst = lhs, bnd
+    for start in range(0, probe_count, _BLOCK):
+        # pass 1: draw, in stream order
+        arrays, flags = zip(*[_draw_probe(prob, center, n, rng) for _ in range(min(_BLOCK, probe_count - start))])
+        probes += [PrimalDualPoint.from_array(w_arr, n) for w_arr in arrays]
+        projected += sum(flags)
+        # pass 2: score the block's probes as the rows of one stack
+        w = np.array(arrays)
+        x = w[:, :n]
+        lhs = theta_avg - total_objective(prob, x) + dot_rows(center - w, vi_operator(prob, PrimalDualPoint(x, w[:, n:])))
+        bnd = h_quadratic(h, w - w0) / (2.0 * (t + 1))
+        margin = lhs - bnd
+        i = int(margin.argmax())  # the first nan, else the first largest
+        if not math.isnan(worst_margin) and (math.isnan(margin[i]) or margin[i] > worst_margin):
+            worst_margin = float(margin[i])
+            max_lhs, bound_at_worst = float(lhs[i]), float(bnd[i])
     return GapCertificate(
         t=t,
         ergodic_point=w_t,

@@ -1,5 +1,7 @@
 """Dense symmetric linear algebra: Cholesky factors, SPD solves, spectral
 norms, and the quadratic form of a metric given densely or as an operator.
+The products behind the form (matvec_rows, dot_rows) also take a stack
+of vectors, one per row, and give each row the bits of its own product.
 
 SPD solves call LAPACK's triangular solve (dtrtrs) directly, with the
 arguments scipy.linalg.solve_triangular would pass it, so results match
@@ -233,6 +235,54 @@ def spectral_norm_sq(a: np.ndarray, tol: float = POWER_TOL, max_iters: int = POW
     raise NoConvergence(f"power iteration did not stabilize in {max_iters} iterations")
 
 
+def blas_matrix(a) -> np.ndarray:
+    """a as a float array in C or F order, the layouts BLAS reads in
+    place; a strided view (a column slice, say) is copied to C order.
+
+    For a strided matrix numpy's .dot takes one dot per row and
+    np.matmul a loop of its own, and the two differ in bits.  So every
+    matrix that a problem, objective or metric keeps passes through
+    here, and matvec_rows only ever sees the orders where they agree.
+    """
+    a = np.asarray(a, dtype=float)
+    return a if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
+
+
+def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v for one vector v, or for each vector along a stack's last axis.
+
+    A stack is one np.matmul over (..., d, 1) matrices, which numpy runs
+    as one BLAS matrix-vector call per row, the call that a @ row and
+    a.dot(row) make for a C- or F-ordered a (blas_matrix), so each row
+    has their bits.  One vector takes a.dot, which costs less than a
+    stack of one, unless a is 1 x 1: .dot then multiplies as scalars,
+    which keeps a -0.0 that BLAS's sum from +0.0 turns into +0.0.
+    """
+    return a.dot(v) if v.ndim == 1 and a.size > 1 else np.matmul(a, v[..., None])[..., 0]
+
+
+def dot_rows(u: np.ndarray, v: np.ndarray):
+    """u . v as a float for two vectors, or per row along the last axis
+    of a stack (either side may be one vector, broadcast to every row).
+
+    A stack is one np.matmul over (..., 1, d) @ (..., d, 1), one BLAS dot
+    per row with u @ v's bits.  Two vectors take .dot, plus 0.0: .dot
+    multiplies vectors of length 1 as scalars and keeps a -0.0 product,
+    which BLAS's sum from +0.0 (and so u @ v) gives as +0.0.
+    """
+    return float(u.dot(v)) + 0.0 if u.ndim == v.ndim == 1 else np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _nonfinite_rows(dx: np.ndarray, dlam: np.ndarray):
+    return ~(np.isfinite(dx).all(axis=-1) & np.isfinite(dlam).all(axis=-1))
+
+
+def _check_vectors(v: np.ndarray, dim: int, what: str) -> None:
+    """v is one vector of length dim or a stack of them along its last axis."""
+    if v.ndim < 1 or v.shape[-1] != dim:
+        raise DimensionMismatch(f"vector shape {v.shape} does not match {what} dim {dim}")
+
+
 class Metric:
     """A symmetric positive semidefinite metric H on stacked (x, lam)
     vectors, held as an operator: each family states v^T H v as a sum of
@@ -243,6 +293,10 @@ class Metric:
     non-finite entry has quadratic form nan, as h_quadratic gives with
     the identity matrix.  The sums of squares never go negative, so the
     H-norm is their plain square root.
+
+    Every form also takes a stack of vectors, one per row along the last
+    axis, and gives one value per row, each with the bits of that row's
+    own call (matvec_rows, dot_rows).
     """
 
     def __init__(self, n: int, m: int):
@@ -252,21 +306,21 @@ class Metric:
     def shape(self) -> tuple:
         return (self.n + self.m, self.n + self.m)
 
-    def quad(self, v: np.ndarray) -> float:
-        """v^T H v for a stacked vector v = (dx, dlam)."""
+    def quad(self, v: np.ndarray):
+        """v^T H v for a stacked vector v = (dx, dlam), or per row of a stack of them."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n + self.m,):
-            raise DimensionMismatch(f"vector shape {v.shape} does not match metric dim {self.n + self.m}")
-        return self.quad_pair(v[: self.n], v[self.n :])
+        _check_vectors(v, self.n + self.m, "metric")
+        return self.quad_pair(v[..., : self.n], v[..., self.n :])
 
-    def quad_pair(self, dx: np.ndarray, dlam: np.ndarray) -> float:
-        """v^T H v for v = (dx, dlam), read without stacking."""
+    def quad_pair(self, dx: np.ndarray, dlam: np.ndarray):
+        """v^T H v for v = (dx, dlam), read without stacking; per row for stacks."""
         q = self._sum_of_squares(dx, dlam)
-        if q == math.inf and not (np.isfinite(dx).all() and np.isfinite(dlam).all()):
-            return math.nan
-        return q
+        if dx.ndim > 1:
+            q[(q == math.inf) & _nonfinite_rows(dx, dlam)] = math.nan
+            return q
+        return math.nan if q == math.inf and _nonfinite_rows(dx, dlam) else q
 
-    def _sum_of_squares(self, dx: np.ndarray, dlam: np.ndarray) -> float:
+    def _sum_of_squares(self, dx: np.ndarray, dlam: np.ndarray):
         raise NotImplementedError
 
     def dense(self) -> np.ndarray:
@@ -277,14 +331,15 @@ class Metric:
         return h if dtype is None else h.astype(dtype, copy=False)
 
 
-def h_quadratic(h, v: np.ndarray) -> float:
-    """Quadratic form v^T H v; H is a Metric operator or a symmetric matrix."""
+def h_quadratic(h, v: np.ndarray):
+    """Quadratic form v^T H v; H is a Metric operator or a symmetric matrix.
+    A stack of vectors, one per row along the last axis, gives an array
+    of forms with each row's bits."""
     if isinstance(h, Metric):
         return h.quad(v)
-    h = np.asarray(h, dtype=float)
+    h = blas_matrix(h)
     v = np.asarray(v, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    if v.shape != (h.shape[0],):
-        raise DimensionMismatch(f"vector shape {v.shape} does not match matrix dim {h.shape[0]}")
-    return float(v @ (h @ v))
+    _check_vectors(v, h.shape[0], "matrix")
+    return dot_rows(v, matvec_rows(h, v))

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedCombination
-from .linalg import gram_norm_bound
+from .linalg import blas_matrix, gram_norm_bound, matvec_rows
 from .prox import (
     Box,
     L1,
@@ -41,7 +41,7 @@ class Sense(Enum):
 
 
 def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = blas_matrix(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"constraint matrix must be 2-d, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -205,25 +205,28 @@ def multiplier_set(prob):
 
 def coupling(prob, x: np.ndarray) -> np.ndarray:
     """A x - b = sum_i A_i x_i - b, read blockwise.  The sum starts from
-    the first block's product, so one block gives a x - b bit for bit."""
+    the first block's product, so one block gives a x - b bit for bit.
+    A stack of x, one per row, gives one residual per row (matvec_rows)."""
     blocks, xs = prob.blocks, prob.split(x)
-    acc = blocks[0].a.dot(xs[0])
+    acc = matvec_rows(blocks[0].a, xs[0])
     for i in range(1, len(xs)):
-        acc += blocks[i].a.dot(xs[i])
+        acc += matvec_rows(blocks[i].a, xs[i])
     acc -= prob.b
     return acc
 
 
-def total_objective(prob, x: np.ndarray) -> float:
-    """theta(x) = sum_i theta_i(x_i), starting from the first block's value."""
+def total_objective(prob, x: np.ndarray):
+    """theta(x) = sum_i theta_i(x_i), starting from the first block's value;
+    one value per row for a stack of x (prox.objective_value)."""
     values = [objective_value(blk.theta, xi) for blk, xi in zip(prob.blocks, prob.split(x))]
     return sum(values[1:], values[0])
 
 
 def vi_operator(prob, w: PrimalDualPoint) -> np.ndarray:
-    """The saddle-point operator F(w) = (-A^T lambda, A x - b), stacked."""
-    tops = [-(blk.a.T @ w.lam) for blk in prob.blocks]
-    return np.concatenate(tops + [coupling(prob, w.x)])
+    """The saddle-point operator F(w) = (-A^T lambda, A x - b), stacked.
+    A point whose x and lambda are stacks of rows gives one F per row."""
+    tops = [-matvec_rows(blk.a.T, w.lam) for blk in prob.blocks]
+    return np.concatenate(tops + [coupling(prob, w.x)], axis=-1)
 
 
 def lagrangian(prob, w: PrimalDualPoint) -> float:

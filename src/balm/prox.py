@@ -11,12 +11,13 @@ result equals the coordinate-by-coordinate evaluation bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, UnsupportedCombination, UnsupportedObjective
-from .linalg import PIVOT_TOL, cholesky_factor, solve_spd
+from .linalg import PIVOT_TOL, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class Quadratic:
     _diagonal: bool = field(init=False, repr=False)  # P has no off-diagonal entry: coordinatewise
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = blas_matrix(self.p)
         c = np.asarray(self.c, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatch(f"P must be square, got shape {p.shape}")
@@ -201,29 +202,35 @@ def contains(spec, v: np.ndarray, tol: float = 0.0) -> bool:
     return bool(members(spec, v, tol))
 
 
-def objective_value(theta, x: np.ndarray) -> float:
-    """Evaluate theta at x."""
+def objective_value(theta, x: np.ndarray):
+    """Evaluate theta at x: a float for one vector, or for a stack of
+    vectors along the last axis an array of values with each row's bits."""
     x = np.asarray(x, dtype=float)
+    one = x.ndim <= 1
     if isinstance(theta, Zero):
-        return 0.0
+        return 0.0 if one else np.zeros(x.shape[:-1])
     if isinstance(theta, L1):
-        return float(theta.weight * np.sum(np.abs(x)))
+        value = theta.weight * np.sum(np.abs(x), axis=None if one else -1)
+        return float(value) if one else value
     if isinstance(theta, Quadratic):
-        _check_dim(theta.c, x)
-        return float(0.5 * x @ (theta.p @ x) + theta.c @ x)
+        _check_dim(theta.c, x, rows=True)
+        return dot_rows(0.5 * x, matvec_rows(theta.p, x)) + dot_rows(theta.c, x)
     if isinstance(theta, Linear):
-        _check_dim(theta.c, x)
-        return float(theta.c @ x)
+        _check_dim(theta.c, x, rows=True)
+        return dot_rows(theta.c, x)
     if isinstance(theta, SeparableSum):
-        _check_parts(theta, x)
+        _check_parts(theta, x, rows=True)
         g = theta._groups
         values = np.zeros_like(x)
-        values[g.l1] = g.l1_weight * np.abs(x[g.l1])
-        values[g.linear] = g.linear_c * x[g.linear]
-        xq = x[g.quad]
-        values[g.quad] = 0.5 * xq * (g.quad_p * xq) + g.quad_c * xq
+        values[..., g.l1] = g.l1_weight * np.abs(x[..., g.l1])
+        values[..., g.linear] = g.linear_c * x[..., g.linear]
+        xq = x[..., g.quad]
+        values[..., g.quad] = 0.5 * xq * (g.quad_p * xq) + g.quad_c * xq
         # summed in part order, left to right, as the scalar terms always were
-        return float(sum(values.tolist()))
+        if one:
+            return float(sum(values.tolist()))
+        rows = values.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
+        return np.array([sum(row) for row in rows]).reshape(x.shape[:-1])
     raise UnsupportedObjective(f"unknown objective {type(theta).__name__}")
 
 
@@ -292,13 +299,14 @@ def coordinatewise(theta) -> bool:
     return False
 
 
-def _check_dim(c: np.ndarray, x: np.ndarray) -> None:
-    if x.shape != c.shape:
+def _check_dim(c: np.ndarray, x: np.ndarray, rows: bool = False) -> None:
+    """x matches c's shape; with rows, x may also be a stack of such vectors."""
+    if (x.shape[-1:] if rows else x.shape) != c.shape:
         raise DimensionMismatch(f"vector shape {x.shape} does not match objective dim {c.shape}")
 
 
-def _check_parts(theta: SeparableSum, x: np.ndarray) -> None:
-    if x.shape != (len(theta.parts),):
+def _check_parts(theta: SeparableSum, x: np.ndarray, rows: bool = False) -> None:
+    if (x.shape[-1:] if rows else x.shape) != (len(theta.parts),):
         raise DimensionMismatch(
             f"vector shape {x.shape} does not match {len(theta.parts)} separable parts"
         )

@@ -35,7 +35,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
-from .linalg import Metric, SpdFactor, cholesky_factor, solve_spd
+from .linalg import Metric, SpdFactor, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .problems import (
     PointProducts, PrimalDualPoint, Problem, Sense, SeparableProblem, coupling, default_start, kkt_residual, quadratic_terms,
@@ -211,7 +211,7 @@ class BalancedMetric(Metric):
     """
 
     def __init__(self, a_list: list, r_list, delta: float):
-        self.a_list = [np.asarray(a, dtype=float) for a in a_list]
+        self.a_list = [blas_matrix(a) for a in a_list]
         self.r_list = tuple(r_list)
         self.delta = delta
         if len(self.r_list) != len(self.a_list):
@@ -221,11 +221,11 @@ class BalancedMetric(Metric):
         super().__init__(sum(a.shape[1] for a in self.a_list), self.a_list[0].shape[0])
 
     def _sum_of_squares(self, dx, dlam):
-        total, at = self.delta * float(dlam.dot(dlam)), 0
+        total, at = self.delta * dot_rows(dlam, dlam), 0
         for a, r in zip(self.a_list, self.r_list):
-            u = a.T.dot(dlam)
-            u += r * dx[at : at + a.shape[1]]
-            total += float(u.dot(u)) / r
+            u = matvec_rows(a.T, dlam)
+            u += r * dx[..., at : at + a.shape[1]]
+            total += dot_rows(u, u) / r
             at += a.shape[1]
         return total
 
@@ -241,8 +241,8 @@ class AltSplitMetric(Metric):
     """
 
     def __init__(self, a1: np.ndarray, a2: np.ndarray, r: float, s: float, delta: float):
-        self.a1 = np.asarray(a1, dtype=float)
-        self.a2 = np.asarray(a2, dtype=float)
+        self.a1 = blas_matrix(a1)
+        self.a2 = blas_matrix(a2)
         self.r, self.s, self.delta = r, s, delta
         if not (r > 0 and s > 0 and delta > 0):
             raise ValueError("r, s and delta must be positive")
@@ -250,16 +250,16 @@ class AltSplitMetric(Metric):
 
     def _sum_of_squares(self, dx, dlam):
         n1 = self.a1.shape[1]
-        dx1 = dx[:n1]
-        u1 = self.r * self.a1.dot(dx1)
+        dx1 = dx[..., :n1]
+        u1 = self.r * matvec_rows(self.a1, dx1)
         u1 += dlam
-        u2 = self.a2.T.dot(dlam)
-        u2 += self.s * dx[n1:]
+        u2 = matvec_rows(self.a2.T, dlam)
+        u2 += self.s * dx[..., n1:]
         return (
-            float(u1.dot(u1)) / self.r
-            + self.delta * float(dx1.dot(dx1))
-            + float(u2.dot(u2)) / self.s
-            + self.delta * float(dlam.dot(dlam))
+            dot_rows(u1, u1) / self.r
+            + self.delta * dot_rows(dx1, dx1)
+            + dot_rows(u2, u2) / self.s
+            + self.delta * dot_rows(dlam, dlam)
         )
 
     def dense(self):
@@ -270,8 +270,8 @@ class IdentityMetric(Metric):
     """The Euclidean metric the baselines are measured in: v^T v."""
 
     def _sum_of_squares(self, dx, dlam):
-        v = np.concatenate([dx, dlam])
-        return float(v @ v)
+        v = np.concatenate([dx, dlam], axis=-1)
+        return dot_rows(v, v)
 
     def dense(self):
         return np.eye(self.n + self.m)

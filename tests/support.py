@@ -30,10 +30,11 @@ from balm import (
     WholeSpace,
 )
 from balm.bench import ineq_qp_reference
-from balm.diagnostics import ContractionCertificate
+from balm.diagnostics import ContractionCertificate, GapCertificate, _draw_probe, ergodic_average
 from balm.errors import InnerNoConvergence
 from balm.linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd
 from balm.multiplier import solve_equality, solve_lcp
+from balm.problems import total_objective, vi_operator
 from balm.prox import objective_value, prox, prox_constrained
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -264,6 +265,34 @@ def gap_probe_oracle(prob, center: np.ndarray, n: int, rng):
         parts.append(v)
     lam = np.maximum(w[n:], 0.0) if prob.sense is Sense.INEQUALITY else w[n:]
     return np.concatenate(parts + [lam]), True, draws
+
+
+def gap_oracle(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertificate:
+    """diagnostics.vi_gap one probe at a time: each probe is drawn, then
+    scored on its own through the one-vector objective, operator and
+    metric.  The worst probe is the first with the largest lhs - bound,
+    or the first whose lhs - bound is nan, after which none replaces it."""
+    w_t = ergodic_average(history, t)
+    h = history.metric
+    w0 = history.iterates[0].as_array()
+    center = w_t.as_array()
+    n = w_t.x.size
+    theta_avg = total_objective(prob, w_t.x)
+    rng = np.random.default_rng(rng_seed)
+    probes, projected = [], 0
+    worst_margin = -np.inf
+    max_lhs, bound_at_worst = -np.inf, 0.0
+    for _ in range(probe_count):
+        w_arr, was_projected = _draw_probe(prob, center, n, rng)
+        probe = PrimalDualPoint.from_array(w_arr, n)
+        probes.append(probe)
+        projected += was_projected
+        lhs = theta_avg - total_objective(prob, probe.x) + float((center - w_arr) @ vi_operator(prob, probe))
+        bnd = h_quadratic(h, w_arr - w0) / (2.0 * (t + 1))
+        if not math.isnan(worst_margin) and (math.isnan(lhs - bnd) or lhs - bnd > worst_margin):
+            worst_margin = lhs - bnd
+            max_lhs, bound_at_worst = lhs, bnd
+    return GapCertificate(t, w_t, tuple(probes), max_lhs, bound_at_worst, projected)
 
 
 # ---------------------------------------------------------------------------

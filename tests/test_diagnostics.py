@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from balm import bench
 from balm.diagnostics import (
@@ -17,7 +20,7 @@ from balm.errors import InsufficientHistory, MissingReference
 from balm.linalg import h_quadratic
 from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense
 from balm.prox import Box, NonnegativeOrthant, Quadratic, contains
-from balm.solvers import BalancedAlmConfig, RunHistory, StopRule, run
+from balm.solvers import AltSplitMetric, BalancedAlmConfig, BalancedMetric, IdentityMetric, RunHistory, StopRule, run
 
 import support
 
@@ -391,3 +394,133 @@ def test_vi_gap_projects_every_probe_on_nonneg_qp_ineq():
         want, projected, _ = support.gap_probe_oracle(prob, center, prob.n, rng)
         assert projected
         assert probe.as_array().tobytes() == want.tobytes()
+
+
+# (generator kind or test problem, method that records the history)
+_RUN_CASES = {
+    "random_qp_eq": ("random_qp_eq", (4, 10), "balanced-alm"),
+    "basis_pursuit": ("basis_pursuit", (6, 20), "primal-dual"),
+    "lasso_eq": ("lasso_eq", (6, 12), "split-balanced"),
+    "lasso_eq/flat": ("lasso_eq", (6, 12), "balanced-alm"),  # certified on its SeparableSum form
+    "nonneg_qp_ineq": ("nonneg_qp_ineq", (4, 10), "balanced-alm"),
+    "two_block_qp": (None, None, "alt-split"),
+}
+_SET_CASES = ("orthant/eq", "orthant/geq", "box/eq", "box/geq", "orthant+box/eq", "orthant+box/geq")
+GAP_PROBE_COUNTS = (1, 31, 32, 33, 500)
+
+
+def _gap_case(case: str, metric: str, seed: int):
+    """(problem, history) of one oracle case: a short run on a generator
+    kind or on a two-block QP, or, for the orthant and box sets, iterates
+    around a feasible center with up to 16 coordinates on a face (with a
+    dozen or more, most probes are projected).  The
+    history's metric is its own or, whatever the problem, the identity,
+    an alt-split operator over a split of the columns, or the dense
+    matrix of its own."""
+    if case in _RUN_CASES:
+        kind, dims, method = _RUN_CASES[case]
+        if kind is None:
+            prob, _ = support.two_block_qp(np.random.default_rng(seed), 4, 3, 3)
+        else:
+            prob, _ = bench.generate_instance(kind, dims, seed)
+        hist = run(prob, bench.build_config(method, prob), StopRule(30, 1e-10))
+        prob = prob.flat if case.endswith("/flat") else prob
+    else:
+        layout, sense = case.split("/")
+        prob, center = _constrained_case(seed, layout, Sense(sense), 12, 4, active=seed % 17)
+        start = np.random.default_rng(seed).standard_normal(center.size)
+        blocks = [blk.a for blk in prob.blocks]
+        points = [(start[: prob.n], start[prob.n :])] + [(center[: prob.n], center[prob.n :])] * 30
+        hist = _history(points, BalancedMetric(blocks, [1.0] * len(blocks), 0.5))
+    a = np.hstack([blk.a for blk in prob.blocks])
+    n, m = a.shape[1], a.shape[0]
+    h = {
+        "own": hist.metric,
+        "identity": IdentityMetric(n, m),
+        "alt-split": AltSplitMetric(a[:, : n // 2], a[:, n // 2 :], 1.3, 0.7, 0.2),
+        "dense": np.asarray(hist.metric),
+    }[metric]
+    return prob, dataclasses.replace(hist, metric=h)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _assert_same_certificate(got, want) -> None:
+    assert got.t == want.t
+    assert got.ergodic_point.as_array().tobytes() == want.ergodic_point.as_array().tobytes()
+    assert len(got.probe_points) == len(want.probe_points)
+    for p, q in zip(got.probe_points, want.probe_points):
+        assert p.x.tobytes() == q.x.tobytes() and p.lam.tobytes() == q.lam.tobytes()
+    assert _same_float(got.max_lhs, want.max_lhs)
+    assert _same_float(got.bound, want.bound)
+    assert got.projected_probes == want.projected_probes
+    assert got.passes == want.passes
+
+
+@pytest.mark.parametrize("case", list(_RUN_CASES) + list(_SET_CASES))
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(
+    metric=st.sampled_from(("own", "identity", "alt-split", "dense")),
+    seed=st.integers(1, 2**16),
+    t=st.integers(0, 28),
+    probes=st.sampled_from(GAP_PROBE_COUNTS),
+)
+@example(metric="own", seed=1, t=28, probes=500)
+@example(metric="alt-split", seed=2, t=3, probes=33)
+@example(metric="dense", seed=16, t=0, probes=32)
+def test_vi_gap_matches_its_per_probe_oracle(case, metric, seed, t, probes):
+    """vi_gap, which scores its probes 32 at a time as stacks, equals the
+    loop that scores each probe by itself, in every field and bit."""
+    prob, hist = _gap_case(case, metric, seed)
+    t = min(t, len(hist.iterates) - 2)
+    _assert_same_certificate(vi_gap(prob, hist, t, probes, seed), support.gap_oracle(prob, hist, t, probes, seed))
+
+
+@pytest.mark.parametrize("poisoned", [0, 5, 31, 32, 40])
+def test_vi_gap_reports_the_first_nan_margin_as_the_worst_probe(poisoned, monkeypatch):
+    """A probe whose bound is nan, in the first block or a later one, is
+    the worst probe whatever the others' margins, and the check fails."""
+    import balm.diagnostics as diagnostics
+
+    prob, hist = _gap_case("lasso_eq", "own", 1)
+    t = len(hist.iterates) - 2
+
+    def poisoning(original):
+        seen = []
+
+        def h_quadratic(h, v):
+            q = np.array(original(h, v), dtype=float, ndmin=1)
+            rows = range(len(seen), len(seen) + q.size)
+            seen.extend(rows)
+            q[[i for i, row in enumerate(rows) if row == poisoned]] = np.nan
+            return q if np.ndim(v) > 1 else float(q[0])
+
+        return h_quadratic
+
+    monkeypatch.setattr(diagnostics, "h_quadratic", poisoning(diagnostics.h_quadratic))
+    monkeypatch.setattr(support, "h_quadratic", poisoning(support.h_quadratic))
+    got, want = vi_gap(prob, hist, t, 45, 0), support.gap_oracle(prob, hist, t, 45, 0)
+    _assert_same_certificate(got, want)
+    assert math.isnan(got.bound) and not got.passes
+
+
+def test_vi_gap_fails_a_history_with_a_nan_iterate():
+    """A nan in the last recorded x_0 makes every margin nan: the check
+    reports the first probe's nan and fails instead of passing with the
+    starting max_lhs = -inf."""
+    prob, _ = bench.generate_instance("lasso_eq", (6, 12), 1)
+    hist = run(prob, bench.build_config("split-balanced", prob), StopRule(200, 1e-8))
+    hist.iterates[-1].x[0] = np.nan
+    t = len(hist.iterates) - 2
+    cert = vi_gap(prob, hist, t, 45, 0)
+    _assert_same_certificate(cert, support.gap_oracle(prob, hist, t, 45, 0))
+    assert math.isnan(cert.max_lhs) and math.isnan(cert.bound)
+    assert not cert.passes
+
+
+def test_gap_certificate_fails_a_nan_margin_of_infinite_terms():
+    point = PrimalDualPoint(np.zeros(1), np.zeros(1))
+    assert not GapCertificate(0, point, (), np.inf, np.inf).passes
+    assert not GapCertificate(0, point, (), np.nan, 0.0).passes

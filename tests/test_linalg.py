@@ -18,9 +18,12 @@ from balm.linalg import (
     EPS,
     GRAM_MARGIN,
     SpdFactor,
+    blas_matrix,
     cholesky_factor,
+    dot_rows,
     gram_norm_bound,
     h_quadratic,
+    matvec_rows,
     solve_spd,
     spectral_norm_sq,
 )
@@ -232,6 +235,61 @@ def test_h_quadratic_positive_on_spd():
 def test_h_quadratic_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         h_quadratic(np.eye(2), np.ones(3))
+
+
+def test_h_quadratic_of_a_stack_checks_its_rows_length():
+    assert h_quadratic(np.eye(2), np.ones((4, 2))).shape == (4,)
+    with pytest.raises(DimensionMismatch):
+        h_quadratic(np.eye(2), np.ones((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        h_quadratic(np.eye(2), np.float64(1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    m=st.integers(1, 200),
+    n=st.integers(1, 200),
+    k=st.integers(1, 40),
+    order=st.sampled_from(["C", "F", "strided"]),
+    transposed=st.booleans(),
+    sliced=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, n=1, k=4, order="C", transposed=False, sliced=False, zeros=True, seed=0)
+@example(m=1, n=1, k=1, order="F", transposed=True, sliced=True, zeros=False, seed=0)
+@example(m=200, n=200, k=33, order="F", transposed=True, sliced=True, zeros=False, seed=1)
+@example(m=30, n=40, k=5, order="strided", transposed=True, sliced=False, zeros=False, seed=2)
+def test_stacked_row_products_have_the_one_vector_bits(m, n, k, order, transposed, sliced, zeros, seed):
+    """Each row of a stacked product equals the 1-d product of that row
+    bit for bit: a @ row, and a.dot(row) + 0.0, which differs from
+    a.dot(row) only where a length-1 product is -0.0.  C- and F-ordered
+    matrices, column slices of a wider matrix as blas_matrix keeps them,
+    and their a.T views; rows that are whole arrays or column slices of
+    a wider stack (the gap check slices x and lambda out of its probe
+    rows); with zeros, signed zeros in the matrix and the rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n + 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    a = np.asfortranarray(a[:, :n]) if order == "F" else blas_matrix(a[:, 1 : n + 1] if order == "strided" else a[:, :n].copy())
+    a = a.T if transposed else a
+    d = a.shape[1]
+    wide = rng.standard_normal((k, d + 3 if sliced else d))
+    u = rng.standard_normal((k, d))
+    if zeros:
+        for arr in (a, wide, u):
+            arr[rng.random(arr.shape) < 0.5] = rng.choice([0.0, -0.0])
+    v = wide[:, 2 : 2 + d] if sliced else wide
+    c = u[0].copy()
+    products, dots, c_dots = matvec_rows(a, v), dot_rows(u, v), dot_rows(c, v)
+    assert products.shape == (k, a.shape[0]) and dots.shape == c_dots.shape == (k,)
+    for i in range(k):
+        assert products[i].tobytes() == (a @ v[i]).tobytes() == (a.dot(v[i]) + 0.0).tobytes()
+        assert products[i].tobytes() == matvec_rows(a, v[i]).tobytes()
+        for got, left in ((dots[i], u[i]), (c_dots[i], c)):
+            assert got.tobytes() == np.float64(left @ v[i]).tobytes() == np.float64(left.dot(v[i]) + 0.0).tobytes()
+            assert got.tobytes() == np.float64(dot_rows(left, v[i])).tobytes()
+    assert type(dot_rows(u[0], v[0])) is float
+    assert type(dot_rows(u[0], v[0])) is float
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

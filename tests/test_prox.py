@@ -258,6 +258,24 @@ def test_separable_sum_matches_per_part_loop_bit_for_bit(case):
     assert objective_value(theta, q) == support.separable_objective_loop(theta, q)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_separable_cases(), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_objective_value_of_a_stack_is_each_rows_value_bit_for_bit(case, k, seed):
+    """A stack of points, one per row, gives each row's own value for
+    every objective kind; a SeparableSum row is summed left to right."""
+    theta, _, _, q = case
+    n = q.size
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+    stack[0] = q
+    g = rng.standard_normal((n, n))
+    specs = (theta, Zero(), L1(0.7), Linear(rng.standard_normal(n)), Quadratic(0.5 * (g @ g.T + g.T @ g), rng.standard_normal(n)))
+    for spec in specs:
+        got = objective_value(spec, stack)
+        assert got.shape == (k,), type(spec).__name__
+        assert got.tobytes() == np.array([objective_value(spec, row) for row in stack]).tobytes(), type(spec).__name__
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(p=st.floats(-9e-11, 1e-13), r=st.floats(1e-16, 1e-10))
 def test_separable_quadratic_pivot_raises_exactly_when_its_factor_would(p, r):

@@ -759,6 +759,23 @@ def test_metric_quad_matches_the_dense_quadratic(case):
         assert h_quadratic(op, v) == q == op.quad_pair(v[: op.n], v[op.n :])
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_metric_cases(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_metric_quad_of_a_stack_is_each_rows_quad_bit_for_bit(case, bad):
+    """A stack of vectors, one per row, gives each row's own form, for
+    the operator and for its dense matrix; the operator's form of a
+    non-finite row is nan."""
+    op, dense, vs = case
+    stack = np.array(vs + [vs[0]])
+    stack[-1, len(vs) % stack.shape[1]] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        for h in (op, dense):
+            got = h_quadratic(h, stack)
+            assert got.shape == (len(vs) + 1,)
+            assert got.tobytes() == np.array([h_quadratic(h, v) for v in stack]).tobytes()
+        assert math.isnan(h_quadratic(op, stack)[-1])
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     n=st.integers(1, 30),
