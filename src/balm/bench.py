@@ -17,7 +17,10 @@ refuses any other.
 
 The method helpers (METHOD_NAMES, build_config, config_params,
 metric_for and history_from_table's flatten rule) each read one row of
-solvers.METHODS.
+solvers.METHODS.  SOLVER_FLAGS is the one table of solver flags and
+their defaults: build_config merges it, and the CLI forwards only its
+keys.  run_method is the one path that solves and records a run, for
+balm solve and for each method of a matchup.
 """
 
 from __future__ import annotations
@@ -408,9 +411,8 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
 
     try:
         table = np.column_stack(list(cols.values()))
-        spec = _method(meta["method"])
-        run_prob = spec.problem(prob)
-        metric = spec.metric(run_prob, params)
+        metric = metric_for(meta["method"], params, prob)
+        run_prob = METHODS[meta["method"]].problem(prob)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"history columns, method or parameters unusable: {exc!r}") from exc
     if not len(table):
@@ -432,27 +434,21 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
 # configs by name, matchup runner
 
 
-def build_config(
-    name: str,
-    prob,
-    *,
-    r: float = 1.0,
-    delta: float = 0.01,
-    alpha: float = 1.0,
-    s: float | None = None,
-    sigma: float | None = None,
-    r_list=None,
-    sharp_bounds: bool = False,
-    inner_tol: float = 1e-10,
-    inner_max_iters: int = 50_000,
-):
-    """Turn a method name plus shared flags into a config; stepsizes that
-    carry validity conditions get safe defaults from the instance when
-    not supplied."""
-    return _method(name).config(
-        prob, r=r, delta=delta, alpha=alpha, s=s, sigma=sigma, r_list=r_list,
-        sharp_bounds=sharp_bounds, inner_tol=inner_tol, inner_max_iters=inner_max_iters,
-    )
+# The shared solver flags and their defaults: every method's config takes
+# all of them and reads the ones it uses.
+SOLVER_FLAGS = {"r": 1.0, "delta": 0.01, "alpha": 1.0, "s": None, "sigma": None, "r_list": None,
+                "sharp_bounds": False, "inner_tol": 1e-10, "inner_max_iters": 50_000}
+
+
+def build_config(name: str, prob, **flags):
+    """Turn a method name plus solver flags into a config; a flag not
+    given takes its SOLVER_FLAGS default, and stepsizes that carry
+    validity conditions get safe defaults from the instance.  A flag that
+    SOLVER_FLAGS lacks is a TypeError."""
+    unknown = sorted(flags.keys() - SOLVER_FLAGS.keys())
+    if unknown:
+        raise TypeError(f"unknown solver flags: {', '.join(unknown)}")
+    return _method(name).config(prob, **{**SOLVER_FLAGS, **flags})
 
 
 def config_params(name: str, cfg) -> dict:
@@ -476,15 +472,6 @@ class ReportRow:
     error: str | None = None
     history_path: str | None = None
 
-    @classmethod
-    def from_run(cls, method: str, prob, history: RunHistory) -> "ReportRow":
-        """The status, iteration count, final residuals and objective of a
-        run of method on prob."""
-        final = history.residuals[-1]
-        status = "converged" if history.converged else "max-iters"
-        return cls(method, status, iterations=len(history.iterates) - 1, primal=final.primal, dual=final.dual,
-                   complementarity=final.complementarity, objective=total_objective(prob, history.iterates[-1].x))
-
     def summary(self) -> str:
         return (
             f"method={self.method} status={self.status} iterations={self.iterations}"
@@ -496,6 +483,22 @@ class ReportRow:
         if self.status == "error":
             return f"method={self.method} status=error error={self.error!r}"
         return f"{self.summary()} wall_time={self.wall_time:.3f}s history={self.history_path}"
+
+
+def run_method(name: str, prob, stop: StopRule, reference=None, history_path: str | None = None, **flags) -> ReportRow:
+    """Run the named method on prob from the default start and write its
+    history table to history_path when one is given.  Returns the row of
+    its status, iteration count, final residuals and objective."""
+    cfg = build_config(name, prob, **flags)
+    history = run(prob, cfg, stop, reference=reference)
+    if history_path:
+        write_history(history_path, history, name, config_params(name, cfg))
+    final = history.residuals[-1]
+    return ReportRow(
+        name, "converged" if history.converged else "max-iters", iterations=len(history.iterates) - 1,
+        primal=final.primal, dual=final.dual, complementarity=final.complementarity,
+        objective=total_objective(prob, history.iterates[-1].x), history_path=history_path,
+    )
 
 
 def run_matchup(problem_path: str, methods, stop: StopRule, report_path: str, **flags) -> list:
@@ -512,11 +515,7 @@ def run_matchup(problem_path: str, methods, stop: StopRule, report_path: str, **
         row = ReportRow(method=name, status="error")
         started = time.perf_counter()
         try:
-            cfg = build_config(name, prob, **flags)
-            history = run(prob, cfg, stop, reference=reference)
-            row = ReportRow.from_run(name, prob, history)
-            row.history_path = f"{report_path}.{name}.csv"
-            write_history(row.history_path, history, name, config_params(name, cfg))
+            row = run_method(name, prob, stop, reference, f"{report_path}.{name}.csv", **flags)
         except (BalmError, ValueError) as exc:
             row.error = str(exc)
         row.wall_time = time.perf_counter() - started

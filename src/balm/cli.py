@@ -1,5 +1,8 @@
 """Command line front end: generate instances, solve, compare, certify.
 
+solve and matchup take one option per key of bench.SOLVER_FLAGS and run
+each method through bench.run_method.
+
 Exit codes: 0 success, 1 non-convergence or a failed certificate,
 2 invalid configuration, 3 I/O or file-format trouble.
 """
@@ -13,7 +16,7 @@ import sys
 from . import bench
 from .diagnostics import contraction_ledger, vi_gap
 from .errors import BalmError, ConfigInvalid, NoConvergence, SchemaError
-from .solvers import METHODS, StopRule, run
+from .solvers import METHODS, StopRule
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -26,7 +29,7 @@ def _float_list(text: str):
 
 
 def _add_shared_solver_flags(p: argparse.ArgumentParser) -> None:
-    # no defaults here: bench.build_config's apply to every solver flag not given
+    # no defaults here: bench.SOLVER_FLAGS holds them, one per solver flag
     flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
     flag("--r", type=float, help="primal prox weight")
     flag("--delta", type=float, help="dual metric shift")
@@ -78,9 +81,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _flags(args) -> dict:
-    """The shared solver flags given on the command line, as bench.build_config keywords."""
-    keys = ("r", "delta", "alpha", "s", "sigma", "r_list", "sharp_bounds", "inner_tol", "inner_max_iters")
-    return {key: value for key, value in vars(args).items() if key in keys}
+    """The solver flags given on the command line, as bench.build_config keywords."""
+    return {key: value for key, value in vars(args).items() if key in bench.SOLVER_FLAGS}
 
 
 def _cmd_generate(args) -> int:
@@ -92,13 +94,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     prob, reference = bench.read_problem(args.problem)
-    cfg = bench.build_config(args.method, prob, **_flags(args))
     stop = StopRule(max_iters=args.max_iters, kkt_tol=args.tol)
-    history = run(prob, cfg, stop, reference=reference)
-    if args.history:
-        bench.write_history(args.history, history, args.method, bench.config_params(args.method, cfg))
-    print(bench.ReportRow.from_run(args.method, prob, history).summary())
-    return EXIT_OK if history.converged else EXIT_NO_CONVERGENCE
+    row = bench.run_method(args.method, prob, stop, reference, args.history, **_flags(args))
+    print(row.summary())
+    return EXIT_OK if row.status == "converged" else EXIT_NO_CONVERGENCE
 
 
 def _cmd_matchup(args) -> int:

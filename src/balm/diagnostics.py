@@ -85,7 +85,11 @@ def contraction_ledger(history, h, w_star: PrimalDualPoint, alpha: float = 1.0) 
 
     For relaxed runs (alpha != 1) the step term is the predictor gap
     ||w_k - pred_k||_H^2 and the history must have recorded predictors.
+    An alpha outside (0, 2) is a ValueError: its scale alpha (2 - alpha)
+    is not positive, so every slack would pass.
     """
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in the open interval (0, 2), got {alpha!r}")
     if w_star is None:
         raise MissingReference("contraction checks need a reference point")
     if alpha != 1.0 and history.predictors is None:
@@ -190,10 +194,13 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     operator and metric each one call on the stack.  Every stacked
     product is one BLAS call per row, the call one probe alone makes, so
     each probe's lhs and bound have the bits of scoring it by itself.
-    The worst probe is the first with the largest lhs - bound; a probe
-    whose lhs - bound is nan (a non-finite ergodic point, say) is worse
-    than any other, so the first such probe is reported and the
-    certificate fails."""
+    The worst probe, one argmax over every probe's lhs - bound, is the
+    first with the largest margin; a probe whose lhs - bound is nan (a
+    non-finite ergodic point, say) is worse than any other, so the first
+    such probe is reported and the certificate fails.  A negative
+    probe_count is a ValueError."""
+    if probe_count < 0:
+        raise ValueError(f"probe_count must be nonnegative, got {probe_count}")
     w_t = ergodic_average(history, t)
     h = history.metric
     w0 = history.iterates[0].as_array()
@@ -202,10 +209,8 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     theta_avg = total_objective(prob, w_t.x)
     rng = np.random.default_rng(rng_seed)
 
-    probes = []
+    probes, scored = [], []  # scored: each block's (lhs, bound) rows
     projected = 0
-    worst_margin = -np.inf
-    max_lhs, bound_at_worst = -np.inf, 0.0
     for start in range(0, probe_count, _BLOCK):
         # pass 1: draw, in stream order
         arrays, flags = zip(*[_draw_probe(prob, center, n, rng) for _ in range(min(_BLOCK, probe_count - start))])
@@ -215,12 +220,12 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
         w = np.array(arrays)
         x = w[:, :n]
         lhs = theta_avg - total_objective(prob, x) + dot_rows(center - w, vi_operator(prob, PrimalDualPoint(x, w[:, n:])))
-        bnd = h_quadratic(h, w - w0) / (2.0 * (t + 1))
-        margin = lhs - bnd
-        i = int(margin.argmax())  # the first nan, else the first largest
-        if not math.isnan(worst_margin) and (math.isnan(margin[i]) or margin[i] > worst_margin):
-            worst_margin = float(margin[i])
-            max_lhs, bound_at_worst = float(lhs[i]), float(bnd[i])
+        scored.append((lhs, h_quadratic(h, w - w0) / (2.0 * (t + 1))))
+    max_lhs, bound_at_worst = -np.inf, 0.0
+    if probes:
+        lhs, bnd = map(np.concatenate, zip(*scored))
+        i = int((lhs - bnd).argmax())  # the first nan, else the first largest
+        max_lhs, bound_at_worst = float(lhs[i]), float(bnd[i])
     return GapCertificate(
         t=t,
         ergodic_point=w_t,

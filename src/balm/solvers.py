@@ -4,11 +4,11 @@ The balanced family decouples the objective from the constraint rows.
 Its step has two halves, each written once: a prox on each block at
 x_i + A_i^T lam / r_i (_prox_half), then one multiplier solve against
 s = A(2 x_new - x) - b in a shifted Gram metric, SPD for equality
-constraints and an LCP for inequalities (_dual_half).  balanced-alm,
-split-balanced and alt-split differ only in the weights r_i and in
-alt-split's block 1; every A x - b is problems.coupling.  Classic
-augmented Lagrangian, linearized ALM, a primal-dual scheme and
-(linearized) ADMM are included as baselines; their stepsize conditions
+constraints and an LCP for inequalities (_dual_half).  balanced-alm and
+split-balanced are one kernel, _balanced, with the weights (r,) or
+r_list; alt-split replaces only block 1's prox; every A x - b is
+problems.coupling.  Classic augmented Lagrangian, linearized ALM, a
+primal-dual scheme and (linearized) ADMM are included as baselines; their stepsize conditions
 are enforced, not assumed, and all but primal-dual end in the same dual
 ascent lam - r (A x_new - b) (_dual_ascent).  Each condition, each default stepsize and
 each inner FISTA Lipschitz constant reads Problem.gram_norm or
@@ -341,7 +341,8 @@ def _checked_step(name: str, prob, cfg, sys, w: PrimalDualPoint) -> PrimalDualPo
 
 # ---------------------------------------------------------------------------
 # steps.  Every method steps through an unchecked kernel
-# _name(prob, cfg, [sys,] at), which maps the current iterate's
+# _name(prob, cfg, [sys,] at), or _balanced(prob, weights, sys, at) for
+# the two balanced methods, which maps the current iterate's
 # PointProducts to the next one's; run calls only kernels, and name_step
 # is _checked_step over the method's row.  primal-dual takes the balanced
 # primal half and a scalar dual step.  Matrix-vector products use
@@ -375,8 +376,10 @@ def _dual_half(prob, sys: MultiplierSystem, at: PointProducts, parts: list) -> P
     return PointProducts(prob, PrimalDualPoint(x_new, solve(sys, at.w.lam, _extrapolated(prob, at, x_new))))
 
 
-def _balanced_alm(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
-    return _dual_half(prob, sys, at, _prox_half(prob, at, (cfg.r,), 0))
+def _balanced(prob, weights, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
+    """The balanced step with one prox weight per block: balanced-alm's
+    (r,), split-balanced's r_list."""
+    return _dual_half(prob, sys, at, _prox_half(prob, at, weights, 0))
 
 
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -398,10 +401,6 @@ def generalized_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSyste
     """Relaxed step w - alpha (w - w_pred); alpha = 1 returns the
     predictor itself, bit for bit."""
     return _relax(w, balanced_alm_step(prob, cfg, sys, w), cfg.alpha)
-
-
-def _split_balanced(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
-    return _dual_half(prob, sys, at, _prox_half(prob, at, cfg.r_list, 0))
 
 
 def split_balanced_step(prob: SeparableProblem, cfg: SplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -581,10 +580,10 @@ def _single_block(prob):
 class MethodSpec:
     """One row of the method table; the defaults describe a baseline.
 
-    config(prob, **flags) builds the config from bench.build_config's
-    flags, with validated default stepsizes.  check(prob, cfg, name)
-    raises for what the method cannot run; run calls it once, before the
-    first step, with the row's name.
+    config(prob, **flags) builds the config from every flag of
+    bench.SOLVER_FLAGS, with validated default stepsizes.
+    check(prob, cfg, name) raises for what the method cannot run; run
+    calls it once, before the first step, with the row's name.
     A baseline's stepsize(prob, cfg, factor) is its condition as (label,
     value, bound), met when value > bound.  system(prob, cfg) is what the
     step solves against, built once per run: the dual system, and for
@@ -629,7 +628,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         "balanced-alm",
         config=lambda prob, r, delta, alpha, **_: BalancedAlmConfig(r, delta, alpha),
-        step=lambda prob, cfg, sys, at: _balanced_alm(prob, cfg, sys, at),
+        step=lambda prob, cfg, sys, at: _balanced(prob, (cfg.r,), sys, at),
         check=lambda prob, cfg, name: _require_one_block(prob, name),
         system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
         params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
@@ -640,7 +639,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
     MethodSpec(
         "split-balanced",
         config=_split_config,
-        step=lambda prob, cfg, sys, at: _split_balanced(prob, cfg, sys, at),
+        step=lambda prob, cfg, sys, at: _balanced(prob, cfg.r_list, sys, at),
         check=_check_split,
         system=lambda prob, cfg: build_hp([(blk.a, r) for blk, r in zip(prob.blocks, cfg.r_list)], cfg.delta),
         params=lambda cfg: {"r_list": list(cfg.r_list), "delta": cfg.delta},

@@ -11,6 +11,7 @@ from balm import cli
 from balm.bench import (
     GENERATOR_KINDS,
     METHOD_NAMES,
+    SOLVER_FLAGS,
     ReportRow,
     atomic_write,
     build_config,
@@ -23,6 +24,7 @@ from balm.bench import (
     read_history_table,
     read_problem,
     run_matchup,
+    run_method,
     serialize_history,
     serialize_problem,
     write_history,
@@ -431,6 +433,19 @@ def test_build_config_rejections():
         build_config("no-such-method", prob)
 
 
+def test_build_config_names_each_unknown_flag():
+    prob, _ = generate_instance("random_qp_eq", (2, 3), seed=2)
+    with pytest.raises(TypeError, match="unknown solver flags: rr$"):
+        build_config("balanced-alm", prob, rr=2.0)
+    with pytest.raises(TypeError, match="unknown solver flags: rr, tol$"):
+        build_config("balanced-alm", prob, r=2.0, tol=1e-8, rr=2.0)
+
+
+def test_solver_flags_hold_the_documented_defaults():
+    assert SOLVER_FLAGS == {"r": 1.0, "delta": 0.01, "alpha": 1.0, "s": None, "sigma": None, "r_list": None,
+                            "sharp_bounds": False, "inner_tol": 1e-10, "inner_max_iters": 50_000}
+
+
 def test_config_params_carry_metric_inputs():
     prob, _ = generate_instance("random_qp_eq", (2, 3), seed=2)
     sep, _ = generate_instance("lasso_eq", (2, 3), seed=2)
@@ -476,6 +491,22 @@ def test_run_matchup_single_block(tmp_path):
     text = open(report).read()
     assert text.startswith("# matchup schema=1")
     assert "method=bogus status=error" in text
+
+
+@pytest.mark.parametrize("name", ["balanced-alm", "lalm"])
+def test_run_method_gives_the_matchup_row_and_history(tmp_path, name):
+    ppath, report = str(tmp_path / "p.json"), str(tmp_path / "report.txt")
+    write_problem(ppath, *generate_instance("random_qp_eq", (2, 4), seed=11))
+    stop = StopRule(50_000, 1e-8)
+    (matched,) = run_matchup(ppath, [name], stop, report, delta=0.1)
+    prob, ref = read_problem(ppath)
+    hpath = str(tmp_path / "h.csv")
+    row = run_method(name, prob, stop, ref, hpath, delta=0.1)
+    assert (row.summary(), row.history_path, row.error) == (matched.summary(), hpath, None)
+    with open(hpath) as got, open(matched.history_path) as want:
+        assert got.read() == want.read()
+    unrecorded = run_method(name, prob, stop, ref, delta=0.1)
+    assert (unrecorded.summary(), unrecorded.history_path) == (row.summary(), None)
 
 
 def test_run_matchup_objectives_agree(tmp_path):

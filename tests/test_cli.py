@@ -3,9 +3,12 @@ summary line that balm solve and the matchup report share."""
 
 from __future__ import annotations
 
+import argparse
+import json
+
 import pytest
 
-from balm import cli
+from balm import bench, cli
 
 
 @pytest.fixture
@@ -73,3 +76,38 @@ def test_solver_flags_forward_only_what_is_given():
     assert (args.tol, args.max_iters) == (1e-8, 100_000)
     args = cli._parser().parse_args(base + ["--r", "2", "--r-list", "1,2.5", "--sharp-bounds", "--inner-max-iters", "7"])
     assert cli._flags(args) == {"r": 2.0, "r_list": (1.0, 2.5), "sharp_bounds": True, "inner_max_iters": 7}
+
+
+def test_the_solver_flags_are_the_keys_of_the_flag_table():
+    """solve and matchup offer one option per SOLVER_FLAGS key, and _flags forwards each."""
+    parser = cli._parser()
+    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    for command in ("solve", "matchup"):
+        dests = {a.dest for a in commands[command]._actions if a.default is argparse.SUPPRESS and a.dest != "help"}
+        assert dests == set(bench.SOLVER_FLAGS), command
+    every = ["--r", "2", "--delta", "0.1", "--alpha", "1.5", "--s", "3", "--sigma", "4", "--r-list", "1,2",
+             "--sharp-bounds", "--inner-tol", "1e-9", "--inner-max-iters", "7"]
+    args = parser.parse_args(["solve", "--problem", "p.json", "--method", "lalm"] + every)
+    assert cli._flags(args).keys() == bench.SOLVER_FLAGS.keys()
+
+
+@pytest.mark.parametrize("alpha", [3.0, -1.0])
+def test_certify_contraction_refuses_a_recorded_alpha_outside_zero_two(tmp_path, capsys, alpha):
+    """A relaxed history whose recorded alpha is edited out of (0, 2) exits 2
+    instead of passing every slack; the unedited history passes."""
+    ppath, hpath, edited = (str(tmp_path / name) for name in ("qp.json", "relaxed.csv", "edited.csv"))
+    assert cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath]) == 0
+    assert cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--alpha", "1.5", "--history", hpath]) == 0
+    certify = ["certify", "--problem", ppath, "--check", "contraction", "--history"]
+    assert cli.main(certify + [hpath]) == cli.EXIT_OK
+    with open(hpath) as fh:
+        first, rest = fh.read().split("\n", 1)
+    meta = json.loads(first[2:])
+    meta["params"]["alpha"] = alpha
+    with open(edited, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    code = cli.main(certify + [edited])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and "alpha must lie in the open interval (0, 2)" in err

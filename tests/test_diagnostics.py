@@ -134,6 +134,17 @@ def test_contraction_ledger_relaxed_uses_predictor_gap():
     assert certs[0].slack == pytest.approx(0.0 - 1.0 - 0.75 * 4.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 3.0, -1.0, math.nan])
+def test_contraction_ledger_refuses_an_alpha_outside_zero_two(alpha):
+    """alpha (2 - alpha) <= 0 would pass any slack, even that of a step
+    away from the reference, which fails at alpha = 1.5."""
+    metric, origin = np.eye(2), PrimalDualPoint(np.zeros(1), np.zeros(1))
+    h = _history([(0.0, 0.0), (5.0, 0.0)], metric, predictors=[PrimalDualPoint(np.array([5.0]), np.zeros(1))])
+    assert not contraction_ledger(h, metric, origin, alpha=1.5)[0].passes
+    with pytest.raises(ValueError, match="alpha must lie in the open interval"):
+        contraction_ledger(h, metric, origin, alpha=alpha)
+
+
 def test_gap_certificate_sentinel_and_edge():
     empty = GapCertificate(0, PrimalDualPoint(np.zeros(1), np.zeros(1)), (), -np.inf, 0.0)
     assert empty.passes
@@ -150,6 +161,22 @@ def test_vi_gap_scalar_run_passes():
         cert = vi_gap(prob, hist, t, probe_count=200, rng_seed=0)
         assert cert.passes, t
         assert len(cert.probe_points) == 200
+
+
+@pytest.mark.parametrize("probes", [-1, -33])
+def test_vi_gap_refuses_a_negative_probe_count(probes):
+    prob = support.scalar_problem()
+    hist = run(prob, BalancedAlmConfig(1.0, 1.0), StopRule(5, 1e-14))
+    with pytest.raises(ValueError, match="probe_count must be nonnegative"):
+        vi_gap(prob, hist, 0, probe_count=probes, rng_seed=0)
+
+
+def test_vi_gap_without_probes_is_the_vacuous_sentinel():
+    prob = support.scalar_problem()
+    hist = run(prob, BalancedAlmConfig(1.0, 1.0), StopRule(5, 1e-14))
+    cert = vi_gap(prob, hist, 2, probe_count=0, rng_seed=0)
+    assert (cert.max_lhs, cert.bound, cert.passes) == (-math.inf, 0.0, True)
+    assert (cert.probe_points, cert.projected_probes, cert.t) == ((), 0, 2)
 
 
 def test_vi_gap_random_qp_passes():
