@@ -393,13 +393,16 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     """Reconstruct a RunHistory (iterates, predictors, metric) from a
     parsed table; residuals are recomputed from the iterates.  The header
     must be the one the metadata's n, m, has_reference and has_predictors
-    give.  A table that lacks a field, has another header, or does not
-    fit prob raises SchemaError."""
+    give.  A table that lacks a field, has another header, does not fit
+    prob, or records an alpha that is not an int or float raises
+    SchemaError."""
     if not isinstance(meta, dict) or not {"n", "m", "method", "params"} <= meta.keys():
         raise SchemaError("history metadata needs n, m, method and params")
     n, m, params = meta["n"], meta["m"], meta["params"]
     if not (type(n) is type(m) is int and (n, m) == (prob.n, prob.m) and isinstance(params, dict)):
         raise SchemaError(f"history n={n!r}, m={m!r}, params={params!r} do not fit the problem's n={prob.n}, m={prob.m}")
+    if type(params.get("alpha", 1.0)) not in (int, float):  # bool and str are not relaxation factors
+        raise SchemaError(f"history alpha={params['alpha']!r} is not a number")
     has_reference, has_predictors = bool(meta.get("has_reference")), bool(meta.get("has_predictors"))
     header = _history_columns(n, m, has_reference, has_predictors)
     if list(cols) != header:

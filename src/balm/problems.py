@@ -248,21 +248,26 @@ def _norm(v: np.ndarray) -> float:
 
 
 class PointProducts:
-    """The matrix products at one point w, each computed at most once:
-    A x - b (resid) and A_i^T lambda for every block i (at_lam).
+    """The matrix products and proxes at one point w, each computed at
+    most once: A x - b (resid), A_i^T lambda for every block i (at_lam)
+    and block i's prox_constrained(theta_i, X_i, r, x_i + A_i^T lambda / r)
+    for each weight r asked for (prox); xs is prob.split(w.x), taken once.
 
     run keeps one for the current iterate and hands it to the step and to
     kkt_residual; whichever reads an entry first fills it, so the
-    residual's A^T lambda is the next step's.  A caller that already holds
-    A x - b passes it as resid.  run keeps only the current iterate's, so
-    a history stores none.
+    residual's A^T lambda is the next step's, and so is its unit-weight
+    prox wherever the step's weight is 1 (q / 1.0 == q exactly).  A prox
+    is stored under its (block, weight) and served only for that pair.  A
+    caller that already holds A x - b passes it as resid.  run keeps only
+    the current iterate's, so a history stores none.
     """
 
-    __slots__ = ("prob", "w", "_resid", "_at_lam")
+    __slots__ = ("prob", "w", "xs", "_resid", "_at_lam", "_prox")
 
     def __init__(self, prob, w: PrimalDualPoint, resid: np.ndarray | None = None):
-        self.prob, self.w, self._resid = prob, w, resid
+        self.prob, self.w, self.xs, self._resid = prob, w, prob.split(w.x), resid
         self._at_lam = [None] * len(prob.blocks)
+        self._prox = {}
 
     def resid(self) -> np.ndarray:
         if self._resid is None:
@@ -275,6 +280,14 @@ class PointProducts:
             out = self._at_lam[i] = self.prob.blocks[i].a.T.dot(self.w.lam)
         return out
 
+    def prox(self, i: int, r: float) -> np.ndarray:
+        out = self._prox.get((i, r))
+        if out is None:
+            blk = self.prob.blocks[i]
+            q = self.xs[i] + (self.at_lam(i) if r == 1.0 else self.at_lam(i) / r)  # q / 1.0 is q
+            out = self._prox[i, r] = prox_constrained(blk.theta, blk.x_set, r, q)
+        return out
+
 
 def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None) -> KktResidual:
     """Primal, dual and complementarity residual norms at w.
@@ -282,8 +295,10 @@ def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None
     The dual residual is the prox-based fixed-point gap
     ||x - prox(theta, X, 1, x + A^T lambda)||; it vanishes exactly at
     stationary points of the Lagrangian over X.  products, when given,
-    holds w's A x - b and A_i^T lambda (PointProducts(prob, w)); the
-    residual reuses what it holds and leaves in it what it computes.
+    holds w's A x - b, A_i^T lambda and unit-weight proxes
+    (PointProducts(prob, w)); the residual reuses what it holds and
+    leaves in it what it computes, so a step at weight 1 from w takes
+    the residual's prox as its primal half.
     """
     at = PointProducts(prob, w) if products is None else products
     resid = at.resid()
@@ -293,10 +308,7 @@ def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None
     else:
         primal = _norm(np.minimum(resid, 0.0))
         comp = float(abs(w.lam.dot(resid)))
-    gaps = [
-        xi - prox_constrained(blk.theta, blk.x_set, 1.0, xi + at.at_lam(i))
-        for i, (blk, xi) in enumerate(zip(prob.blocks, prob.split(w.x)))
-    ]
+    gaps = [xi - at.prox(i, 1.0) for i, xi in enumerate(at.xs)]
     dual = _norm(np.concatenate(gaps) if len(gaps) > 1 else gaps[0])  # one gap needs no copy
     return KktResidual(primal=primal, dual=dual, complementarity=comp)
 

@@ -2,7 +2,9 @@
 
 The balanced family decouples the objective from the constraint rows.
 Its step has two halves, each written once: a prox on each block at
-x_i + A_i^T lam / r_i (_prox_half), then one multiplier solve against
+x_i + A_i^T lam / r_i (_prox_half, read from the iterate's
+PointProducts, which the KKT residual's unit-weight prox has already
+filled), then one multiplier solve against
 s = A(2 x_new - x) - b in a shifted Gram metric, SPD for equality
 constraints and an LCP for inequalities (_dual_half).  balanced-alm and
 split-balanced are one kernel, _balanced, with the weights (r,) or
@@ -349,15 +351,11 @@ def _checked_step(name: str, prob, cfg, sys, w: PrimalDualPoint) -> PrimalDualPo
 # ndarray.dot, which gives @'s bits with less overhead per call.
 
 
-def _prox_half(prob, at: PointProducts, weights, first: int) -> list:
+def _prox_half(at: PointProducts, weights, first: int) -> list:
     """The new x_i of each block i from first on: the prox of theta_i over
-    X_i with weight r_i = weights[i - first] at x_i + A_i^T lam / r_i."""
-    blocks, xs = prob.blocks, prob.split(at.w.x)
-    out = []
-    for i in range(first, len(blocks)):
-        blk, r = blocks[i], weights[i - first]
-        out.append(prox_constrained(blk.theta, blk.x_set, r, xs[i] + at.at_lam(i) / r))
-    return out
+    X_i with weight r_i = weights[i - first] at x_i + A_i^T lam / r_i,
+    read from at, so a weight-1 block takes the one its KKT residual took."""
+    return [at.prox(i, r) for i, r in enumerate(weights, first)]
 
 
 def _extrapolated(prob, at: PointProducts, x_new: np.ndarray) -> np.ndarray:
@@ -379,7 +377,7 @@ def _dual_half(prob, sys: MultiplierSystem, at: PointProducts, parts: list) -> P
 def _balanced(prob, weights, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
     """The balanced step with one prox weight per block: balanced-alm's
     (r,), split-balanced's r_list."""
-    return _dual_half(prob, sys, at, _prox_half(prob, at, weights, 0))
+    return _dual_half(prob, sys, at, _prox_half(at, weights, 0))
 
 
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -427,10 +425,9 @@ def _alt_split_system(prob: SeparableProblem, cfg: AltSplitConfig, dual: Multipl
 def _alt_split(prob: SeparableProblem, cfg: AltSplitConfig, sys: AltSplitSystem, at: PointProducts) -> PointProducts:
     """Block 1 from its regularized normal equations, block 2 through the
     primal half with weight s, then the dual half."""
-    blk1 = prob.blocks[0]
-    c1 = quadratic_terms(blk1.theta)[1]
-    x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(at.w.x[: blk1.n]))
-    return _dual_half(prob, sys.dual, at, [x1_new, *_prox_half(prob, at, (cfg.s,), 1)])
+    c1 = quadratic_terms(prob.blocks[0].theta)[1]
+    x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(at.xs[0]))
+    return _dual_half(prob, sys.dual, at, [x1_new, *_prox_half(at, (cfg.s,), 1)])
 
 
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -516,7 +513,7 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
 
 
 def _primal_dual(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
-    (x_new,) = _prox_half(prob, at, (cfg.r,), 0)
+    (x_new,) = _prox_half(at, (cfg.r,), 0)
     return PointProducts(prob, PrimalDualPoint(x_new, at.w.lam - _extrapolated(prob, at, x_new) / cfg.sigma_or_s))
 
 
@@ -540,7 +537,7 @@ def _block_fista(blk, c: np.ndarray, lam: np.ndarray, gram: float, x0: np.ndarra
 def _admm(prob: SeparableProblem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
     lam = at.w.lam
     blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(at.w.x)
+    x1, x2 = at.xs
     g1, g2 = prob.block_gram_norms
     x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), lam, g1, x1, cfg)
     x2_new = _block_fista(blk2, prob.b - blk1.a.dot(x1_new), lam, g2, x2, cfg)
@@ -556,7 +553,7 @@ def admm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) -
 def _ladmm(prob: SeparableProblem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
     lam, s = at.w.lam, cfg.sigma_or_s
     blk1, blk2 = prob.blocks
-    x1, x2 = prob.split(at.w.x)
+    x1, x2 = at.xs
     x1_new = _block_fista(blk1, prob.b - blk2.a.dot(x2), lam, prob.block_gram_norms[0], x1, cfg)
     q2 = x2 + blk2.a.T.dot(lam - cfg.r * coupling(prob, np.concatenate([x1_new, x2]))) / s
     return _dual_ascent(prob, cfg, at, np.concatenate([x1_new, prox_constrained(blk2.theta, blk2.x_set, s, q2)]))
@@ -717,9 +714,10 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
 
     cfg's METHODS row is checked once, before the first step.  A
     non-finite KKT residual ends the run at that iterate, unconverged,
-    instead of stepping on to stop.max_iters.  Each iterate's A x - b and
-    A_i^T lambda (PointProducts) are shared by its residual and the step
-    from it, so neither computes one the other has.
+    instead of stepping on to stop.max_iters.  Each iterate's A x - b,
+    A_i^T lambda and unit-weight proxes (PointProducts) are shared by its
+    residual and the step from it, so neither computes one the other has:
+    at weight 1 a step's primal half is its residual's prox.
     """
     spec = METHODS.get(getattr(cfg, "method_name", None))
     if spec is None:

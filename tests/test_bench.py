@@ -296,6 +296,20 @@ def test_history_roundtrip_predictors(tmp_path):
     assert [c.slack for c in live] == [c.slack for c in replay]
 
 
+@pytest.mark.parametrize("alpha", ["1.5", True, False, None, [1.5], {"value": 1.5}])
+def test_history_from_table_refuses_an_alpha_that_is_not_a_number(tmp_path, alpha):
+    prob, ref, cfg, hist = _scalar_run(alpha=1.5)
+    path = str(tmp_path / "hist.csv")
+    write_history(path, hist, "balanced-alm", config_params("balanced-alm", cfg))
+    meta, cols = read_history_table(path)
+    for number in (1.5, 1, 3.0):  # a number out of (0, 2) is the ledger's to refuse
+        meta["params"]["alpha"] = number
+        history_from_table(prob, meta, cols)
+    meta["params"]["alpha"] = alpha
+    with pytest.raises(SchemaError, match="is not a number"):
+        history_from_table(prob, meta, cols)
+
+
 def test_history_table_residuals_recomputed(tmp_path):
     prob, ref, cfg, hist = _scalar_run()
     path = str(tmp_path / "hist.csv")

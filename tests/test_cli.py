@@ -111,3 +111,23 @@ def test_certify_contraction_refuses_a_recorded_alpha_outside_zero_two(tmp_path,
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_CONFIG
     assert out == "" and "alpha must lie in the open interval (0, 2)" in err
+
+
+@pytest.mark.parametrize("alpha", ["1.5", True, None, [1.5]])
+def test_certify_contraction_refuses_a_recorded_alpha_that_is_not_a_number(tmp_path, capsys, alpha):
+    """A recorded alpha that is not an int or float is a bad history file,
+    exit 3, where it used to crash the ledger with a TypeError."""
+    ppath, hpath, edited = (str(tmp_path / name) for name in ("qp.json", "relaxed.csv", "edited.csv"))
+    assert cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath]) == 0
+    assert cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--alpha", "1.5", "--history", hpath]) == 0
+    with open(hpath) as fh:
+        first, rest = fh.read().split("\n", 1)
+    meta = json.loads(first[2:])
+    meta["params"]["alpha"] = alpha
+    with open(edited, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", ppath, "--check", "contraction", "--history", edited])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and f"history alpha={alpha!r} is not a number" in err

@@ -129,6 +129,36 @@ def test_run_matches_the_loop_over_public_steps_bit_for_bit(name, kind, alpha):
         assert alpha != 1.0 and _same_points(hist.predictors, predictors)
 
 
+# (name, kind, flags) of runs away from unit prox weights: every prox
+# the step reads misses the memo its KKT residual filled at weight 1.
+# alpha is read by balanced-alm alone.
+OFF_UNIT = [
+    ("balanced-alm", kind, {"r": r, "alpha": alpha})
+    for kind in ("random_qp_eq", "nonneg_qp_ineq", "lasso_eq")
+    for r in (0.5, 2.0)
+    for alpha in (1.0, 1.5)
+] + [
+    ("split-balanced", "lasso_eq", {"r_list": (1.0, 2.0)}),
+    ("split-balanced", "two_block_qp", {"r_list": (1.0, 2.0)}),
+    ("alt-split", "two_block_qp", {"s": 2.0}),
+    ("primal-dual", "random_qp_eq", {"r": 2.0}),
+]
+
+
+@pytest.mark.parametrize("name, kind, flags", OFF_UNIT, ids=[f"{n}-{k}-{f}" for n, k, f in OFF_UNIT])
+def test_run_matches_the_public_steps_bit_for_bit_away_from_unit_weights(name, kind, flags):
+    prob = _instance(kind)
+    cfg = build_config(name, prob, **flags)
+    hist = run(prob, cfg, STOP)
+    iterates, residuals, steps_h, predictors = _public_loop(name, prob, cfg, STOP)
+    assert len(hist.iterates) > 2
+    assert _same_points(hist.iterates, iterates)
+    assert hist.residuals == residuals
+    assert hist.successive_h_steps[1:] == steps_h[1:]
+    if hist.predictors is not None:
+        assert _same_points(hist.predictors, predictors)
+
+
 def _counting(monkeypatch, module, attr: str) -> list:
     calls = []
     original = getattr(module, attr)
@@ -148,6 +178,38 @@ def test_run_enters_kkt_residual_once_per_recorded_iterate(name, monkeypatch):
     calls = _counting(monkeypatch, solvers, "kkt_residual")
     hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
     assert len(calls) == len(hist.iterates) > 2
+
+
+# (name, kind, flags, blocks whose step weight is not 1)
+PROX_COUNTS = [
+    ("balanced-alm", "random_qp_eq", {}, 0),
+    ("balanced-alm", "random_qp_eq", {"alpha": 1.5}, 0),
+    ("balanced-alm", "nonneg_qp_ineq", {}, 0),
+    ("balanced-alm", "random_qp_eq", {"r": 2.0}, 1),
+    ("balanced-alm", "random_qp_eq", {"r": 2.0, "alpha": 1.5}, 1),
+    ("split-balanced", "lasso_eq", {}, 0),
+    ("split-balanced", "lasso_eq", {"r_list": (1.0, 2.0)}, 1),
+    ("split-balanced", "lasso_eq", {"r_list": (2.0, 0.5)}, 2),
+    ("primal-dual", "basis_pursuit", {}, 0),
+    ("alt-split", "two_block_qp", {}, 0),
+    ("alt-split", "two_block_qp", {"s": 2.0}, 1),
+]
+
+
+@pytest.mark.parametrize("name, kind, flags, off_unit", PROX_COUNTS, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in PROX_COUNTS])
+def test_run_takes_one_prox_per_block_per_iterate_and_one_more_per_off_unit_weight(name, kind, flags, off_unit, monkeypatch):
+    """Each recorded iterate's KKT residual proxes every block at weight 1
+    and the step from it reads those proxes; a block stepped at another
+    weight costs one more prox per step.  alt-split's block 1 is proxed
+    by the residual only."""
+    prob = _instance(kind)
+    cfg = build_config(name, prob, **flags)
+    calls = [_counting(monkeypatch, module, "prox_constrained") for module in (problems, solvers)]
+    hist = run(prob, cfg, StopRule(max_iters=25, kkt_tol=1e-8))
+    n_blocks = len(METHODS[name].problem(prob).blocks)
+    iters = len(hist.iterates)
+    assert iters > 2
+    assert len(calls[0]) == n_blocks * iters + off_unit * (iters - 1) and not calls[1]
 
 
 @pytest.mark.parametrize("name", ["lalm", "primal-dual"])
@@ -262,3 +324,48 @@ def test_dot_is_matmul_bit_for_bit(m, n, seed, log_scale):
     assert (a.dot(x) == a @ x).all()
     assert (a.T.dot(y) == a.T @ y).all()
     assert x.dot(x) == x @ x
+
+
+def _products_point(prob):
+    return PrimalDualPoint(np.linspace(-1.0, 1.0, prob.n), np.linspace(2.0, 3.0, prob.m))
+
+
+@pytest.mark.parametrize("name, kind", [("balanced-alm", "basis_pursuit"), ("split-balanced", "lasso_eq"), ("primal-dual", "random_qp_eq")])
+def test_kkt_residual_after_a_unit_weight_step_is_the_fresh_one(name, kind, monkeypatch):
+    """A step at weight 1 fills the products' proxes; the residual read
+    from them is the one computed from nothing, and takes no prox."""
+    prob = _instance(kind)
+    cfg = build_config(name, prob)
+    spec = METHODS[name]
+    prob = spec.problem(prob)
+    w = _products_point(prob)
+    products = problems.PointProducts(prob, w)
+    spec.step(prob, cfg, spec.system(prob, cfg), products)
+    calls = _counting(monkeypatch, problems, "prox_constrained")
+    assert kkt_residual(prob, w, products) == kkt_residual(prob, w)
+    assert len(calls) == len(prob.blocks)  # the fresh residual's alone
+
+
+def test_a_prox_is_served_only_for_the_weight_it_was_taken_at():
+    prob = _instance("two_block_qp")
+    w = _products_point(prob)
+    xs = prob.split(w.x)
+
+    def fresh(i, r):
+        blk = prob.blocks[i]
+        return problems.prox_constrained(blk.theta, blk.x_set, r, xs[i] + blk.a.T.dot(w.lam) / r)
+
+    products = problems.PointProducts(prob, w)
+    for i in range(len(prob.blocks)):
+        at_two = products.prox(i, 2.0)
+        assert (at_two == fresh(i, 2.0)).all()
+        assert (products.prox(i, 1.0) == fresh(i, 1.0)).all()
+        assert not (products.prox(i, 1.0) == at_two).all()
+        assert products.prox(i, 2.0) is at_two
+    assert kkt_residual(prob, w, products) == kkt_residual(prob, w)
+    # the other order: the residual fills weight 1, and weight 0.5 is its own
+    products = problems.PointProducts(prob, w)
+    kkt_residual(prob, w, products)
+    for i in range(len(prob.blocks)):
+        assert (products.prox(i, 0.5) == fresh(i, 0.5)).all()
+        assert not (products.prox(i, 0.5) == products.prox(i, 1.0)).all()
