@@ -49,7 +49,8 @@ class GapCertificate:
     max_lhs and bound belong to the worst probe (largest lhs - bound);
     the certificate passes iff that probe satisfies its own bound, which
     implies every sampled probe does.  A worst probe whose lhs - bound is
-    nan fails.  probe_count = 0 passes vacuously with max_lhs = -inf.
+    nan fails, and so does an infinite bound, which certifies nothing.
+    probe_count = 0 passes vacuously with max_lhs = -inf and bound 0.
     projected_probes counts the probes that no rejection draw reached and
     that were projected instead.
     """
@@ -63,7 +64,7 @@ class GapCertificate:
 
     @property
     def passes(self) -> bool:
-        return self.max_lhs <= self.bound + GAP_TOL and not math.isnan(self.max_lhs - self.bound)
+        return self.max_lhs <= self.bound + GAP_TOL and math.isfinite(self.bound)  # a nan max_lhs fails <=
 
 
 def ergodic_average(history, t: int) -> PrimalDualPoint:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one rule every
+prox weight, dual shift and tolerance obeys (require_positive)."""
+
+import math
 
 
 class BalmError(Exception):
@@ -47,3 +50,14 @@ class InvalidDims(BalmError):
 
 class SchemaError(BalmError):
     """A problem or history file does not match the expected layout."""
+
+
+def require_positive(error: type, **values) -> None:
+    """Raise error naming the first of values that is not a finite number
+    above zero: nan and +-inf fail like zero and below.  A tuple or list
+    value is checked entry by entry, each named name[i]."""
+    for name, value in values.items():
+        if isinstance(value, (tuple, list)):
+            require_positive(error, **{f"{name}[{i}]": v for i, v in enumerate(value)})
+        elif not 0 < value < math.inf:
+            raise error(f"{name} = {value} must be a finite positive number")

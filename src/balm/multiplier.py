@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import DimensionMismatch, NoConvergence, require_positive
 from .linalg import SpdFactor, cholesky_factor, dpotrf, dpotrs, solve_spd
 
 LCP_TOL = 1e-9
@@ -54,8 +54,7 @@ def _system(scaled: list, shift: float) -> MultiplierSystem:
 
 def build_h0(a: np.ndarray, r: float, delta: float) -> MultiplierSystem:
     """Single-block dual metric (1/r) A A^T + delta I."""
-    if not (r > 0 and delta > 0):
-        raise ValueError("r and delta must be positive")
+    require_positive(ValueError, r=r, delta=delta)
     return _system([(np.asarray(a, dtype=float), r)], delta)
 
 
@@ -64,21 +63,16 @@ def build_hp(scaled_blocks: list, delta: float) -> MultiplierSystem:
 
     scaled_blocks is a list of (A_i, r_i) pairs.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    require_positive(ValueError, delta=delta)
     if not scaled_blocks:
         raise DimensionMismatch("at least one block is required")
-    scaled = [(np.asarray(a, dtype=float), r) for a, r in scaled_blocks]
-    for _, r in scaled:
-        if not r > 0:
-            raise ValueError("every r_i must be positive")
-    return _system(scaled, delta)
+    require_positive(ValueError, r_list=[r for _, r in scaled_blocks])
+    return _system([(np.asarray(a, dtype=float), r) for a, r in scaled_blocks], delta)
 
 
 def build_h2(a2: np.ndarray, r: float, s: float, delta: float) -> MultiplierSystem:
     """Dual metric (1/s) A2 A2^T + (1/r + delta) I for the two-block variant."""
-    if not (r > 0 and s > 0 and delta > 0):
-        raise ValueError("r, s and delta must be positive")
+    require_positive(ValueError, r=r, s=s, delta=delta)
     return _system([(np.asarray(a2, dtype=float), s)], 1.0 / r + delta)
 
 

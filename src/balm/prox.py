@@ -213,13 +213,13 @@ def objective_value(theta, x: np.ndarray):
         value = theta.weight * np.sum(np.abs(x), axis=None if one else -1)
         return float(value) if one else value
     if isinstance(theta, Quadratic):
-        _check_dim(theta.c, x, rows=True)
+        _check_dim(theta.c.shape, x, rows=True)
         return dot_rows(0.5 * x, matvec_rows(theta.p, x)) + dot_rows(theta.c, x)
     if isinstance(theta, Linear):
-        _check_dim(theta.c, x, rows=True)
+        _check_dim(theta.c.shape, x, rows=True)
         return dot_rows(theta.c, x)
     if isinstance(theta, SeparableSum):
-        _check_parts(theta, x, rows=True)
+        _check_dim((len(theta.parts),), x, rows=True)
         g = theta._groups
         values = np.zeros_like(x)
         values[..., g.l1] = g.l1_weight * np.abs(x[..., g.l1])
@@ -236,8 +236,10 @@ def objective_value(theta, x: np.ndarray):
 
 def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
     """argmin_y theta(y) + (r/2)||y - q||^2, in closed form."""
-    if not r > 0:
-        raise ValueError("prox parameter r must be positive")
+    # inline, not errors.require_positive: this runs for every block on every
+    # iteration and on every FISTA inner iteration, so it takes no helper call
+    if not 0 < r < math.inf:
+        raise ValueError(f"prox parameter r = {r} must be a finite positive number")
     q = np.asarray(q, dtype=float)
     if isinstance(theta, Zero):
         return q.copy()
@@ -245,13 +247,13 @@ def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
         shift = theta.weight / r
         return np.sign(q) * np.maximum(np.abs(q) - shift, 0.0)
     if isinstance(theta, Linear):
-        _check_dim(theta.c, q)
+        _check_dim(theta.c.shape, q)
         return q - theta.c / r
     if isinstance(theta, Quadratic):
-        _check_dim(theta.c, q)
+        _check_dim(theta.c.shape, q)
         return theta.solve_shifted(r, r * q - theta.c)
     if isinstance(theta, SeparableSum):
-        _check_parts(theta, q)
+        _check_dim((len(theta.parts),), q)
         return _separable_prox(theta._groups, r, q)
     raise UnsupportedObjective(f"no prox rule for {type(theta).__name__}")
 
@@ -299,14 +301,7 @@ def coordinatewise(theta) -> bool:
     return False
 
 
-def _check_dim(c: np.ndarray, x: np.ndarray, rows: bool = False) -> None:
-    """x matches c's shape; with rows, x may also be a stack of such vectors."""
-    if (x.shape[-1:] if rows else x.shape) != c.shape:
-        raise DimensionMismatch(f"vector shape {x.shape} does not match objective dim {c.shape}")
-
-
-def _check_parts(theta: SeparableSum, x: np.ndarray, rows: bool = False) -> None:
-    if (x.shape[-1:] if rows else x.shape) != (len(theta.parts),):
-        raise DimensionMismatch(
-            f"vector shape {x.shape} does not match {len(theta.parts)} separable parts"
-        )
+def _check_dim(shape: tuple, x: np.ndarray, rows: bool = False) -> None:
+    """x has the objective's shape; with rows, x may also be a stack of such vectors."""
+    if (x.shape[-1:] if rows else x.shape) != shape:
+        raise DimensionMismatch(f"vector shape {x.shape} does not match objective shape {shape}")

@@ -2,10 +2,9 @@
 
 The balanced family decouples the objective from the constraint rows.
 Its step has two halves, each written once: a prox on each block at
-x_i + A_i^T lam / r_i (_prox_half, read from the iterate's
-PointProducts, which the KKT residual's unit-weight prox has already
-filled), then one multiplier solve against
-s = A(2 x_new - x) - b in a shifted Gram metric, SPD for equality
+x_i + A_i^T lam / r_i (PointProducts.prox, which at weight 1 is the
+prox the KKT residual has already taken), then one multiplier solve
+against s = A(2 x_new - x) - b in a shifted Gram metric, SPD for equality
 constraints and an LCP for inequalities (_dual_half).  balanced-alm and
 split-balanced are one kernel, _balanced, with the weights (r,) or
 r_list; alt-split replaces only block 1's prox; every A x - b is
@@ -16,7 +15,9 @@ ascent lam - r (A x_new - b) (_dual_ascent).  Each condition, each default steps
 each inner FISTA Lipschitz constant reads Problem.gram_norm or
 block_gram_norms, a certified upper bound on ||A^T A|| from one
 eigensolve of the smaller Gram matrix, so a stepsize inside the
-forbidden region is rejected.
+forbidden region is rejected.  Every prox weight, dual shift and
+tolerance is a finite positive number (errors.require_positive), and
+every stepsize a finite one.
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
@@ -36,7 +37,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination
+from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination, require_positive
 from .linalg import Metric, SpdFactor, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .problems import (
@@ -64,8 +65,7 @@ class BalancedAlmConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (self.r > 0 and self.delta > 0):
-            raise ConfigInvalid("r and delta must be positive")
+        require_positive(ConfigInvalid, r=self.r, delta=self.delta)
         if not 0.0 < self.alpha < 2.0:
             raise ConfigInvalid("alpha must lie in the open interval (0, 2)")
 
@@ -80,10 +80,9 @@ class SplitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(float(r) for r in self.r_list))
-        if not self.r_list or not all(r > 0 for r in self.r_list):
-            raise ConfigInvalid("every r_i must be positive")
-        if not self.delta > 0:
-            raise ConfigInvalid("delta must be positive")
+        if not self.r_list:
+            raise ConfigInvalid("r_list needs one weight per block")
+        require_positive(ConfigInvalid, r_list=self.r_list, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ class AltSplitConfig:
     delta: float
 
     def __post_init__(self):
-        if not (self.r > 0 and self.s > 0 and self.delta > 0):
-            raise ConfigInvalid("r, s and delta must be positive")
+        require_positive(ConfigInvalid, r=self.r, s=self.s, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,7 @@ class BaselineConfig:
     def __post_init__(self):
         if not isinstance(self.method, Method):
             raise ConfigInvalid(f"unknown method {self.method!r}")
-        if not self.r > 0:
-            raise ConfigInvalid("r must be positive")
-        if not self.inner_tol > 0:
-            raise ConfigInvalid("inner_tol must be positive")
+        require_positive(ConfigInvalid, r=self.r, inner_tol=self.inner_tol)
         if self.inner_max_iters < 1:
             raise ConfigInvalid("inner_max_iters must be at least 1")
 
@@ -142,8 +137,7 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigInvalid("max_iters must be at least 1")
-        if not self.kkt_tol > 0:
-            raise ConfigInvalid("kkt_tol must be positive")
+        require_positive(ConfigInvalid, kkt_tol=self.kkt_tol)
 
 
 @dataclass
@@ -218,8 +212,7 @@ class BalancedMetric(Metric):
         self.delta = delta
         if len(self.r_list) != len(self.a_list):
             raise ValueError(f"{len(self.r_list)} prox weights for {len(self.a_list)} blocks")
-        if not (delta > 0 and all(r > 0 for r in self.r_list)):
-            raise ValueError("r and delta must be positive")
+        require_positive(ValueError, r_list=self.r_list, delta=delta)
         super().__init__(sum(a.shape[1] for a in self.a_list), self.a_list[0].shape[0])
 
     def _sum_of_squares(self, dx, dlam):
@@ -246,8 +239,7 @@ class AltSplitMetric(Metric):
         self.a1 = blas_matrix(a1)
         self.a2 = blas_matrix(a2)
         self.r, self.s, self.delta = r, s, delta
-        if not (r > 0 and s > 0 and delta > 0):
-            raise ValueError("r, s and delta must be positive")
+        require_positive(ValueError, r=r, s=s, delta=delta)
         super().__init__(self.a1.shape[1] + self.a2.shape[1], self.a1.shape[0])
 
     def _sum_of_squares(self, dx, dlam):
@@ -310,8 +302,8 @@ def _check_alt_split(prob, cfg: AltSplitConfig, name: str) -> None:
 
 def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
     """An equality-constrained problem, one block if the method flattens
-    and two if not, and the row's stepsize condition (0.75 with sharp_bounds
-    if the row honours it)."""
+    and two if not, and the row's stepsize condition, a finite value above
+    its bound (0.75 of it with sharp_bounds if the row honours it)."""
     spec = METHODS[name]
     if not spec.flattens:
         _require_blocks(prob, name, two=True)
@@ -321,8 +313,8 @@ def _check_baseline(prob, cfg: BaselineConfig, name: str) -> None:
         raise ConfigInvalid(f"{name} supports equality constraints only")
     if spec.stepsize is not None:
         label, value, bound = spec.stepsize(prob, cfg, 0.75 if cfg.sharp_bounds and spec.sharp_bounds else 1.0)
-        if not value > bound:
-            raise ConfigInvalid(f"{label} = {value} must exceed {bound}")
+        if not bound < value < math.inf:
+            raise ConfigInvalid(f"{label} = {value} must be finite and exceed {bound}")
 
 
 def _check_shapes(prob, w: PrimalDualPoint, label: str) -> None:
@@ -351,13 +343,6 @@ def _checked_step(name: str, prob, cfg, sys, w: PrimalDualPoint) -> PrimalDualPo
 # ndarray.dot, which gives @'s bits with less overhead per call.
 
 
-def _prox_half(at: PointProducts, weights, first: int) -> list:
-    """The new x_i of each block i from first on: the prox of theta_i over
-    X_i with weight r_i = weights[i - first] at x_i + A_i^T lam / r_i,
-    read from at, so a weight-1 block takes the one its KKT residual took."""
-    return [at.prox(i, r) for i, r in enumerate(weights, first)]
-
-
 def _extrapolated(prob, at: PointProducts, x_new: np.ndarray) -> np.ndarray:
     """s = A(2 x_new - x) - b."""
     d = 2.0 * x_new
@@ -377,7 +362,7 @@ def _dual_half(prob, sys: MultiplierSystem, at: PointProducts, parts: list) -> P
 def _balanced(prob, weights, sys: MultiplierSystem, at: PointProducts) -> PointProducts:
     """The balanced step with one prox weight per block: balanced-alm's
     (r,), split-balanced's r_list."""
-    return _dual_half(prob, sys, at, _prox_half(at, weights, 0))
+    return _dual_half(prob, sys, at, [at.prox(i, r) for i, r in enumerate(weights)])
 
 
 def balanced_alm_step(prob: Problem, cfg: BalancedAlmConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -427,7 +412,7 @@ def _alt_split(prob: SeparableProblem, cfg: AltSplitConfig, sys: AltSplitSystem,
     primal half with weight s, then the dual half."""
     c1 = quadratic_terms(prob.blocks[0].theta)[1]
     x1_new = solve_spd(sys.factor, at.at_lam(0) - c1 + sys.shift.dot(at.xs[0]))
-    return _dual_half(prob, sys.dual, at, [x1_new, *_prox_half(at, (cfg.s,), 1)])
+    return _dual_half(prob, sys.dual, at, [x1_new, at.prox(1, cfg.s)])
 
 
 def alt_split_step(prob: SeparableProblem, cfg: AltSplitConfig, sys: MultiplierSystem, w: PrimalDualPoint) -> PrimalDualPoint:
@@ -513,7 +498,7 @@ def lalm_step(prob: Problem, cfg: BaselineConfig, w: PrimalDualPoint) -> PrimalD
 
 
 def _primal_dual(prob: Problem, cfg: BaselineConfig, at: PointProducts) -> PointProducts:
-    (x_new,) = _prox_half(at, (cfg.r,), 0)
+    x_new = at.prox(0, cfg.r)
     return PointProducts(prob, PrimalDualPoint(x_new, at.w.lam - _extrapolated(prob, at, x_new) / cfg.sigma_or_s))
 
 
@@ -582,14 +567,14 @@ class MethodSpec:
     check(prob, cfg, name) raises for what the method cannot run; run
     calls it once, before the first step, with the row's name.
     A baseline's stepsize(prob, cfg, factor) is its condition as (label,
-    value, bound), met when value > bound.  system(prob, cfg) is what the
-    step solves against, built once per run: the dual system, and for
-    alt-split block 1's factor too.  metric(prob, params(cfg)) is the
-    metric of the run and of its replay.  step(prob, cfg, sys, at) maps
-    the current iterate's PointProducts to those of the next iterate or,
-    when relaxed(cfg), of the predictor that run records and relaxes; it
-    calls the method's unchecked kernel, and the method's public step is
-    _checked_step over the row.  The lambdas look kernels, checks and
+    value, bound), met when bound < value < inf.  system(prob, cfg) is
+    what the step solves against, built once per run: the dual system,
+    and for alt-split block 1's factor too.  metric(prob, params(cfg)) is
+    the metric of the run and of its replay.  step(prob, cfg, sys, at)
+    maps the current iterate's PointProducts to those of the next iterate
+    or, when params(cfg) records an alpha other than 1, of the predictor
+    that run records and relaxes; it calls the method's unchecked kernel,
+    and the method's public step is _checked_step over the row.  The lambdas look kernels, checks and
     builders up in the module when called, so patching one reaches them.
     """
 
@@ -601,7 +586,6 @@ class MethodSpec:
     system: Callable = lambda prob, cfg: None
     params: Callable = lambda cfg: {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds}
     metric: Callable = lambda prob, params: IdentityMetric(prob.n, prob.m)
-    relaxed: Callable = lambda cfg: False
     flattens: bool = False  # a SeparableProblem is merged into one block first
     sharp_bounds: bool = False  # the stepsize condition honours BaselineConfig.sharp_bounds
 
@@ -630,7 +614,6 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
         system=lambda prob, cfg: build_h0(prob.a, cfg.r, cfg.delta),
         params=lambda cfg: {"r": cfg.r, "delta": cfg.delta, "alpha": cfg.alpha},
         metric=lambda prob, p: BalancedMetric([prob.a], [p["r"]], p["delta"]),
-        relaxed=lambda cfg: cfg.alpha != 1.0,
         flattens=True,
     ),
     MethodSpec(
@@ -712,9 +695,11 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     """Iterate until every KKT residual falls below stop.kkt_tol or
     stop.max_iters steps are taken.  Records the full trajectory.
 
-    cfg's METHODS row is checked once, before the first step.  A
-    non-finite KKT residual ends the run at that iterate, unconverged,
-    instead of stepping on to stop.max_iters.  Each iterate's A x - b,
+    cfg's METHODS row is checked once, before the first step.  The
+    relaxation factor alpha is read from the row's params(cfg), the way a
+    replay reads it from the recorded params; at alpha 1 no predictors
+    are recorded.  A non-finite KKT residual ends the run at that
+    iterate, unconverged, instead of stepping on to stop.max_iters.  Each iterate's A x - b,
     A_i^T lambda and unit-weight proxes (PointProducts) are shared by its
     residual and the step from it, so neither computes one the other has:
     at weight 1 a step's primal half is its residual's prox.
@@ -725,7 +710,9 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     prob = spec.problem(prob)
     spec.check(prob, cfg, spec.name)
     sys = spec.system(prob, cfg)
-    metric = spec.metric(prob, spec.params(cfg))
+    params = spec.params(cfg)
+    metric = spec.metric(prob, params)
+    alpha = params.get("alpha", 1.0)
     w = default_start(prob) if w0 is None else _check_start(prob, w0)
 
     def h_dist(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
@@ -739,14 +726,14 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     iterates = [w]
     residuals = [kkt_residual(prob, w, at)]
     steps_h = [math.nan]
-    predictors = [] if spec.relaxed(cfg) else None
+    predictors = [] if alpha != 1.0 else None
 
     worst = residuals[0].max()  # nan if any part is nan: never converged, and the loop stops
     while stop.kkt_tol < worst < math.inf and len(iterates) <= stop.max_iters:
         at_next = spec.step(prob, cfg, sys, at)
         if predictors is not None:
             predictors.append(at_next.w)
-            at_next = PointProducts(prob, _relax(w, at_next.w, cfg.alpha))
+            at_next = PointProducts(prob, _relax(w, at_next.w, alpha))
         w_next = at_next.w
         iterates.append(w_next)
         residuals.append(kkt_residual(prob, w_next, at_next))

@@ -131,3 +131,65 @@ def test_certify_contraction_refuses_a_recorded_alpha_that_is_not_a_number(tmp_p
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_IO
     assert out == "" and f"history alpha={alpha!r} is not a number" in err
+
+
+@pytest.fixture
+def qp(tmp_path, capsys):
+    """random_qp_eq 4x10 seed 1, whose start is 1.72 from feasible."""
+    ppath = str(tmp_path / "qp.json")
+    assert cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath]) == 0
+    capsys.readouterr()
+    return ppath
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--method", "balanced-alm", "--tol", "inf"], "kkt_tol = inf must be a finite positive number"),
+        (["--method", "primal-dual", "--s", "inf"], "r*s = inf must be finite and exceed"),
+        (["--method", "balanced-alm", "--r", "inf"], "r = inf must be a finite positive number"),
+        (["--method", "balanced-alm", "--delta", "nan"], "delta = nan must be a finite positive number"),
+        (["--method", "lalm", "--sigma", "inf"], "sigma = inf must be finite and exceed"),
+    ],
+    ids=["tol", "primal-dual-s", "r", "delta", "lalm-sigma"],
+)
+def test_solve_refuses_a_parameter_that_is_not_finite_and_positive(qp, capsys, flags, named):
+    """--tol inf used to report status=converged at iteration 0, primal-dual's
+    --s inf to run every step with lambda frozen and --r inf to fail on a nan
+    matrix; each is now a bad configuration that names the parameter, exit 2."""
+    code = cli.main(["solve", "--problem", qp, "--max-iters", "50"] + flags)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and err.startswith(f"error: {named}")
+
+
+def test_solve_refuses_an_infinite_block_weight(tmp_path, capsys):
+    ppath = str(tmp_path / "lasso.json")
+    assert cli.main(["generate", "--kind", "lasso_eq", "--m", "6", "--n", "12", "--seed", "1", "--out", ppath]) == 0
+    capsys.readouterr()
+    code = cli.main(["solve", "--problem", ppath, "--method", "split-balanced", "--r-list", "1,inf"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and err.startswith("error: r_list[1] = inf must be a finite positive number")
+
+
+@pytest.mark.parametrize("delta", [float("inf"), float("nan"), float("-inf")])
+def test_certify_gap_refuses_a_recorded_delta_that_is_not_finite(qp, tmp_path, capsys, delta):
+    """A relaxed history whose recorded delta is edited to Infinity used to
+    certify gap: PASS with bound=inf; every non-finite delta is a bad history
+    file, exit 3, while the unedited history passes."""
+    hpath, edited = str(tmp_path / "relaxed.csv"), str(tmp_path / "edited.csv")
+    assert cli.main(["solve", "--problem", qp, "--method", "balanced-alm", "--alpha", "1.5", "--history", hpath]) == 0
+    certify = ["certify", "--problem", qp, "--check", "gap", "--history"]
+    assert cli.main(certify + [hpath]) == cli.EXIT_OK
+    with open(hpath) as fh:
+        first, rest = fh.read().split("\n", 1)
+    meta = json.loads(first[2:])
+    meta["params"]["delta"] = delta
+    with open(edited, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    code = cli.main(certify + [edited])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and f"delta = {delta} must be a finite positive number" in err
