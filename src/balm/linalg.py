@@ -3,12 +3,13 @@ norms, and the quadratic form of a metric given densely or as an operator.
 The products behind the form (matvec_rows, dot_rows) also take a stack
 of vectors, one per row, and give each row the bits of its own product.
 
-SPD solves call LAPACK's triangular solve (dtrtrs) directly, with the
-arguments scipy.linalg.solve_triangular would pass it, so results match
-that route bit for bit without its per-call validation overhead.  The
-bound on ||A^T A|| that the stepsize conditions read calls LAPACK's
-symmetric eigensolver (dsyevd) the same way, and the multiplier module's
-active-set solves take Cholesky's dpotrf and dpotrs from here.
+Every Cholesky factor is one call of LAPACK's dpotrf, and SPD solves
+call its triangular solve (dtrtrs) directly, with the arguments
+scipy.linalg.solve_triangular would pass it, so results match that route
+bit for bit without its per-call validation overhead.  The bound on
+||A^T A|| that the stepsize conditions read calls LAPACK's symmetric
+eigensolver (dsyevd) the same way, and the multiplier module's
+active-set solves take dpotrf and dpotrs from here.
 
 These four routines are the f2py functions of scipy's LAPACK extension,
 scipy/linalg/_flapack, the very objects scipy.linalg.lapack re-exports.
@@ -85,9 +86,17 @@ class SpdFactor:
 def cholesky_factor(m: np.ndarray) -> SpdFactor:
     """Factor a symmetric positive definite matrix as L L^T.
 
-    Raises NotPositiveDefinite as soon as a pivot falls at or below
-    the pivot threshold, so near-semidefinite inputs are rejected
-    rather than silently factored.
+    m must be square and symmetric to within SYMMETRY_TOL (a non-finite
+    entry fails that test).  Its lower triangle goes to one LAPACK dpotrf
+    call, given as the upper triangle of the Fortran-ordered m^T, so the
+    factor comes back as U = L^T in Fortran order and L is its C-ordered
+    transpose, the layout solve_spd hands to dtrtrs without a copy.
+
+    Raises NotPositiveDefinite naming the first column j whose pivot
+    L_jj^2 is at or below PIVOT_TOL, so near-semidefinite inputs are
+    rejected rather than silently factored.  dpotrf itself stops only at
+    a pivot <= 0 (info > 0); the diagonal before that column is scanned
+    first, and a pivot there in (0, PIVOT_TOL] is the one reported.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -95,16 +104,18 @@ def cholesky_factor(m: np.ndarray) -> SpdFactor:
     if not np.all(np.abs(m - m.T) <= SYMMETRY_TOL):
         raise ValueError("matrix is not symmetric to within 1e-12")
     n = m.shape[0]
-    lower = np.zeros_like(m)
-    for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= PIVOT_TOL:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j}")
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return SpdFactor(dim=n, lower=lower)
+    upper, info = dpotrf(m.T, lower=0, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+    stop = info - 1 if info else n
+    pivots = np.square(upper.diagonal()[:stop])
+    low = np.flatnonzero(pivots <= PIVOT_TOL)
+    if low.size:
+        raise NotPositiveDefinite(f"pivot {pivots[low[0]]:.3e} at column {low[0]}")
+    if info:
+        column = upper[:stop, stop]
+        raise NotPositiveDefinite(f"pivot {m[stop, stop] - column @ column:.3e} at column {stop}")
+    return SpdFactor(dim=n, lower=upper.T)
 
 
 def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:

@@ -47,15 +47,23 @@ def _shifted_gram(scaled: list, shift: float) -> np.ndarray:
     return 0.5 * (acc + acc.T)
 
 
-def _system(scaled: list, shift: float) -> MultiplierSystem:
-    h = _shifted_gram(scaled, shift)
+def _system(scaled: list, shift: float, **weights) -> MultiplierSystem:
+    """The shifted Gram and its factor.  A Gram that overflows, a weight
+    so small that its reciprocal scales A A^T (or I) past the float
+    range, raises ValueError naming the weights, rather than failing the
+    factor's symmetry test on the inf and nan it would hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _shifted_gram(scaled, shift)
+    if not np.isfinite(h).all():
+        named = ", ".join(f"{name} = {value}" for name, value in weights.items())
+        raise ValueError(f"the dual metric overflows at {named}: it scales by each weight's reciprocal")
     return MultiplierSystem(h=h, factor=cholesky_factor(h))
 
 
 def build_h0(a: np.ndarray, r: float, delta: float) -> MultiplierSystem:
     """Single-block dual metric (1/r) A A^T + delta I."""
     require_positive(ValueError, r=r, delta=delta)
-    return _system([(np.asarray(a, dtype=float), r)], delta)
+    return _system([(np.asarray(a, dtype=float), r)], delta, r=r)
 
 
 def build_hp(scaled_blocks: list, delta: float) -> MultiplierSystem:
@@ -67,13 +75,16 @@ def build_hp(scaled_blocks: list, delta: float) -> MultiplierSystem:
     if not scaled_blocks:
         raise DimensionMismatch("at least one block is required")
     require_positive(ValueError, r_list=[r for _, r in scaled_blocks])
-    return _system([(np.asarray(a, dtype=float), r) for a, r in scaled_blocks], delta)
+    weights = {f"r_list[{i}]": r for i, (_, r) in enumerate(scaled_blocks)}
+    return _system([(np.asarray(a, dtype=float), r) for a, r in scaled_blocks], delta, **weights)
 
 
 def build_h2(a2: np.ndarray, r: float, s: float, delta: float) -> MultiplierSystem:
     """Dual metric (1/s) A2 A2^T + (1/r + delta) I for the two-block variant."""
     require_positive(ValueError, r=r, s=s, delta=delta)
-    return _system([(np.asarray(a2, dtype=float), s)], 1.0 / r + delta)
+    with np.errstate(over="ignore"):
+        shift = 1.0 / r + delta
+    return _system([(np.asarray(a2, dtype=float), s)], shift, r=r, s=s)
 
 
 def solve_equality(sys: MultiplierSystem, lam_k: np.ndarray, s_k: np.ndarray) -> np.ndarray:
@@ -91,18 +102,20 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
     max_steps or the free block would not factor, together with the
     number of steps taken.
 
-    The free block goes straight to LAPACK's Cholesky factor and solve
-    (dpotrf, dpotrs) with the arguments scipy.linalg.cho_factor and
-    cho_solve would pass, so the steps match that route bit for bit;
-    dpotrf's info > 0 (a leading minor not positive definite) is the
-    give-up that cho_factor reports as LinAlgError.
+    The free block H_FF is taken by two boolean indexings, h[F][:, F],
+    which copy the same entries as np.ix_ at less per-call cost, and goes
+    straight to LAPACK's Cholesky factor and solve (dpotrf, dpotrs) with
+    the arguments scipy.linalg.cho_factor and cho_solve would pass, so
+    the steps match that route bit for bit; dpotrf's info > 0 (a leading
+    minor not positive definite) is the give-up that cho_factor reports
+    as LinAlgError.  F' repeats F when their exclusive or is empty.
     """
     c = s_k - h @ lam_k
     free = lam_k > 0.0
     for step in range(1, max_steps + 1):
         lam = np.zeros_like(c)
         if free.any():
-            factor, info = dpotrf(h[np.ix_(free, free)], lower=1, clean=0)
+            factor, info = dpotrf(h[free][:, free], lower=1, clean=0)
             if info > 0:
                 return None, step
             lam_free, solve_info = dpotrs(factor, -c[free], lower=1)
@@ -111,7 +124,7 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
             lam[free] = lam_free
         y = h @ lam + c
         new_free = lam - y > 0.0
-        if np.array_equal(new_free, free):
+        if not (new_free ^ free).any():
             return np.maximum(lam, 0.0), step
         free = new_free
     return None, max_steps
@@ -144,7 +157,7 @@ def solve_lcp(
 
     def certified(lam):
         y = h @ (lam - lam_k) + s_k
-        return float(np.min(y)) >= -tol and abs(float(lam @ y)) <= comp_tol
+        return float(y.min()) >= -tol and abs(float(lam @ y)) <= comp_tol
 
     lam, steps = _active_set(h, lam_k, s_k, min(sys.m + 1, max_sweeps))
     if lam is not None and certified(lam):

@@ -6,7 +6,9 @@ refinement, and LCPs are solved by enumerating active sets.  The
 reference paths at the end are the library's kernels written the
 straightforward way (a per-part loop, scipy's solve wrappers), and each
 method's step with its whole update formula written out; the library's
-kernels and steps must match them bit for bit.
+kernels and steps must match them bit for bit.  The one exception is
+cholesky_reference, a column loop that the LAPACK factor matches to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from balm import (
 )
 from balm.bench import ineq_qp_reference
 from balm.diagnostics import ContractionCertificate, GapCertificate, _draw_probe, ergodic_average
-from balm.errors import InnerNoConvergence
-from balm.linalg import SpdFactor, cholesky_factor, h_quadratic, solve_spd
+from balm.errors import InnerNoConvergence, NotPositiveDefinite
+from balm.linalg import PIVOT_TOL, SpdFactor, cholesky_factor, h_quadratic, solve_spd
 from balm.multiplier import solve_equality, solve_lcp
 from balm.problems import total_objective, vi_operator
 from balm.prox import objective_value, prox, prox_constrained
@@ -160,6 +162,24 @@ def separable_prox_loop(theta, r: float, q: np.ndarray) -> np.ndarray:
 def separable_objective_loop(theta, x: np.ndarray) -> float:
     """SeparableSum value as the sum, in part order, of each part's value."""
     return float(sum(objective_value(p, x[i : i + 1]) for i, p in enumerate(theta.parts)))
+
+
+def cholesky_reference(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of m by a Python loop over columns, reading
+    m's lower triangle; raises NotPositiveDefinite at the first column
+    whose pivot m_jj - ||L_j,:j||^2 is at or below PIVOT_TOL."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    lower = np.zeros_like(m)
+    for j in range(n):
+        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= PIVOT_TOL:
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j}")
+        ljj = math.sqrt(pivot)
+        lower[j, j] = ljj
+        if j + 1 < n:
+            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    return lower
 
 
 def solve_spd_scipy(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:

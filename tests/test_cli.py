@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from balm import bench, cli
+
+import support
 
 
 @pytest.fixture
@@ -193,3 +197,43 @@ def test_certify_gap_refuses_a_recorded_delta_that_is_not_finite(qp, tmp_path, c
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_IO
     assert out == "" and f"delta = {delta} must be a finite positive number" in err
+
+
+@pytest.mark.parametrize(
+    "method, flags, named",
+    [
+        ("balanced-alm", ["--r", "1e-320"], "r = 1e-320"),
+        ("split-balanced", ["--r-list", "1e-320,1"], "r_list[0] = 1e-320, r_list[1] = 1.0"),
+        ("alt-split", ["--r", "1e-320", "--s", "1"], "r = 1e-320, s = 1.0"),
+    ],
+)
+def test_solve_names_a_weight_whose_reciprocal_overflows(tmp_path, capsys, method, flags, named):
+    """--r 1e-320 used to print two numpy RuntimeWarnings and "matrix is not
+    symmetric"; the weight is now named, with no warning, exit 2."""
+    ppath = str(tmp_path / "p.json")
+    if method == "alt-split":
+        bench.write_problem(ppath, *support.two_block_qp(np.random.default_rng(1), 4, 3, 3))
+    else:
+        kind = "random_qp_eq" if method == "balanced-alm" else "lasso_eq"
+        assert cli.main(["generate", "--kind", kind, "--m", "4", "--n", "10", "--seed", "1", "--out", ppath]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--problem", ppath, "--method", method] + flags)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and err.startswith(f"error: the dual metric overflows at {named}:")
+
+
+def test_solve_exits_three_on_a_quadratic_that_is_not_semidefinite(qp, capsys):
+    """P with p[0][0] = -1 fails the Quadratic's PSD screen, a factor of
+    P + 1e-10 I: a bad problem file, exit 3, naming the pivot's column."""
+    with open(qp) as fh:
+        doc = json.load(fh)
+    doc["objective"]["p"][0][0] = -1.0
+    with open(qp, "w") as fh:
+        json.dump(doc, fh)
+    code = cli.main(["solve", "--problem", qp, "--method", "balanced-alm"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and "at column 0" in err

@@ -80,6 +80,96 @@ def test_cholesky_roundtrip_random():
         assert np.array_equal(f.lower, np.tril(f.lower))
 
 
+def _column_named(factor, m):
+    """The column a NotPositiveDefinite names, or None when m factors."""
+    try:
+        factor(m)
+    except NotPositiveDefinite as exc:
+        return int(str(exc).rsplit(" ", 1)[1])
+    return None
+
+
+def _cholesky_case(kind: str, n: int, seed: int) -> np.ndarray:
+    """An exactly symmetric matrix of order n whose pivots all lie at
+    least 10 PIVOT_TOL from PIVOT_TOL: SPD with eigenvalues in [0.1, 1]
+    ("well"), in [1e-10, 1] ("eigen"), or in [0.1, 1] scaled by a diagonal
+    spanning 10^+-5 ("graded"); or L0 D L0^T with a unit lower L0, pivots
+    D_jj in [0.1, 2] but one at or below -1e-12 ("indefinite")."""
+    rng = np.random.default_rng(seed)
+    if kind == "indefinite":
+        unit = np.tril(rng.standard_normal((n, n)) / math.sqrt(n), -1) + np.eye(n)
+        pivots = rng.uniform(0.1, 2.0, n)
+        pivots[rng.integers(n)] = -(10.0 ** rng.uniform(-12, 0))
+        m = (unit * pivots) @ unit.T
+    else:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        m = (q * np.logspace(0, -10 if kind == "eigen" else -1, n)) @ q.T
+        if kind == "graded":
+            d = 10.0 ** rng.uniform(-5, 5, n)
+            m *= np.outer(d, d)
+    return 0.5 * (m + m.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(0, 200),
+    kind=st.sampled_from(["well", "eigen", "graded", "indefinite"]),
+    order=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, kind="well", order="C", seed=0)
+@example(n=1, kind="indefinite", order="F", seed=0)
+@example(n=200, kind="eigen", order="F", seed=1)
+@example(n=200, kind="indefinite", order="C", seed=2)
+def test_cholesky_factor_agrees_with_the_column_loop(n, kind, order, seed):
+    """The dpotrf factor against tests/support.cholesky_reference, with
+    S = diag(sqrt(m_jj)) and A = S^-1 M S^-1:
+    - both reconstruct M: |L L^T - M|_ij <= 2 (n + 1) eps sqrt(m_ii m_jj),
+      the backward error of Cholesky plus the rounding of the product;
+    - the factors agree row by row: |L - L_ref|_ij <= 2 (n + 1) eps
+      cond_2(A) sqrt(m_ii), two backward-stable factors of one matrix;
+    - an indefinite M is refused at the column the loop refuses it;
+    - the strictly upper triangle of M is never read, and L comes back
+      C-ordered and lower triangular whatever the order of M."""
+    if kind == "indefinite" and n == 0:
+        n = 1  # an indefinite matrix has at least one column
+    m = _cholesky_case(kind, n, seed)
+    given_m = np.asfortranarray(m) if order == "F" else np.ascontiguousarray(m)
+    if kind == "indefinite":
+        expected = _column_named(support.cholesky_reference, m)
+        assert expected is not None
+        assert _column_named(cholesky_factor, given_m) == expected
+        return
+    factor = cholesky_factor(given_m)
+    lower, reference = factor.lower, support.cholesky_reference(m)
+    assert factor.dim == n and lower.flags.c_contiguous and np.array_equal(lower, np.tril(lower))
+    scale = np.sqrt(np.diag(m))
+    bound = 2 * (n + 1) * EPS
+    for each in (lower, reference):
+        assert np.all(np.abs(each @ each.T - m) <= bound * np.outer(scale, scale))
+    cond = np.linalg.cond(m / np.outer(scale, scale)) if n else 1.0
+    assert np.all(np.abs(lower - reference) <= bound * cond * scale[:, None])
+    skewed = given_m + np.triu(np.full((n, n), 0.4 * linalg.SYMMETRY_TOL), 1)
+    assert np.array_equal(cholesky_factor(skewed).lower, lower)
+
+
+@pytest.mark.parametrize(
+    "m, column",
+    [
+        # the pivot at column 1 is 1.1e-15; the next, -9.0e14, is where dpotrf stops
+        ([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 1.0], [0.0, 1.0, 1.0]], 1),
+        ([[1.0, 0.0, 0.0], [0.0, 1e-15, 0.0], [0.0, 0.0, 1.0]], 1),
+        ([[4.0, 2.0], [2.0, 1.0]], 1),
+        ([[-1.0]], 0),
+    ],
+    ids=["stops-later", "positive-below-tol", "zero", "negative"],
+)
+def test_cholesky_names_the_first_pivot_at_or_below_the_threshold(m, column):
+    m = np.array(m)
+    assert _column_named(support.cholesky_reference, m) == column
+    assert _column_named(cholesky_factor, m) == column
+
+
 def test_solve_spd_worked():
     f = cholesky_factor(np.array([[4.0, 2.0], [2.0, 2.0]]))
     assert np.allclose(solve_spd(f, np.array([6.0, 4.0])), [1.0, 1.0], atol=1e-14)

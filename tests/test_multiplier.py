@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balm import bench
 from balm.errors import DimensionMismatch, NoConvergence
 from balm.multiplier import _active_set, build_h0, build_h2, build_hp, solve_equality, solve_lcp
+from balm.solvers import StopRule, run
 
 import support
 
@@ -264,3 +269,43 @@ def test_active_set_matches_cho_factor_route_bit_for_bit(m, extra_cols, log_shif
     assert (lam is None) == (ref is None)
     if lam is not None:
         assert lam.tobytes() == ref.tobytes()
+
+
+TINY = 1e-320  # a finite positive weight whose reciprocal overflows
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda a: build_h0(a, TINY, 0.01), "r = 1e-320"),
+        (lambda a: build_hp([(a, TINY), (a, 1.0)], 0.01), "r_list[0] = 1e-320, r_list[1] = 1.0"),
+        (lambda a: build_h2(a, TINY, 1.0, 0.01), "r = 1e-320, s = 1.0"),
+        (lambda a: build_h2(a, 1.0, TINY, 0.01), "r = 1.0, s = 1e-320"),
+    ],
+    ids=["h0", "hp", "h2-shift", "h2-gram"],
+)
+def test_a_weight_whose_reciprocal_overflows_is_named_without_a_warning(build, named):
+    """1/r overflowing used to print numpy RuntimeWarnings and fail the
+    factor's symmetry test on the inf and nan entries."""
+    a = np.random.default_rng(1).standard_normal((3, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(f"the dual metric overflows at {named}:")):
+            build(a)
+
+
+@pytest.mark.parametrize(
+    "method, problem, flags, named",
+    [
+        ("balanced-alm", "qp", {"r": TINY}, "r = 1e-320"),
+        ("split-balanced", "two_block", {"r_list": (TINY, 1.0)}, "r_list[0] = 1e-320, r_list[1] = 1.0"),
+        ("alt-split", "two_block", {"r": TINY, "s": 1.0}, "r = 1e-320, s = 1.0"),
+    ],
+)
+def test_a_run_refuses_a_weight_whose_reciprocal_overflows(method, problem, flags, named):
+    rng = np.random.default_rng(1)
+    prob = support.random_eq_qp(rng, 10, 4)[0] if problem == "qp" else support.two_block_qp(rng, 4, 3, 3)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(f"the dual metric overflows at {named}:")):
+            run(prob, bench.build_config(method, prob, **flags), StopRule(max_iters=5, kkt_tol=1e-8))
