@@ -1,7 +1,9 @@
-"""Exception types shared across the library, and the one rule every
-prox weight, dual shift and tolerance obeys (require_positive)."""
+"""Exception types shared across the library, the one rule every prox
+weight, dual shift and tolerance obeys (require_positive), and the one
+every iteration count obeys (require_count)."""
 
 import math
+import numbers
 
 
 class BalmError(Exception):
@@ -61,3 +63,12 @@ def require_positive(error: type, **values) -> None:
             require_positive(error, **{f"{name}[{i}]": v for i, v in enumerate(value)})
         elif not 0 < value < math.inf:
             raise error(f"{name} = {value} must be a finite positive number")
+
+
+def require_count(error: type, **values) -> None:
+    """Raise error naming the first of values that is not an integer of at
+    least 1: a float (2.5, nan, even 2.0) or a bool fails, a numpy integer
+    passes."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise error(f"{name} must be at least 1 and an integer, not {value!r}")

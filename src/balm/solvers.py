@@ -16,8 +16,9 @@ each inner FISTA Lipschitz constant reads Problem.gram_norm or
 block_gram_norms, a certified upper bound on ||A^T A|| from one
 eigensolve of the smaller Gram matrix, so a stepsize inside the
 forbidden region is rejected.  Every prox weight, dual shift and
-tolerance is a finite positive number (errors.require_positive), and
-every stepsize a finite one.
+tolerance is a finite positive number (errors.require_positive), every
+stepsize a finite one, and every iteration count an integer of at least
+1 (errors.require_count).
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
@@ -37,7 +38,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination, require_positive
+from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination, require_count, require_positive
 from .linalg import Metric, SpdFactor, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .problems import (
@@ -121,8 +122,7 @@ class BaselineConfig:
         if not isinstance(self.method, Method):
             raise ConfigInvalid(f"unknown method {self.method!r}")
         require_positive(ConfigInvalid, r=self.r, inner_tol=self.inner_tol)
-        if self.inner_max_iters < 1:
-            raise ConfigInvalid("inner_max_iters must be at least 1")
+        require_count(ConfigInvalid, inner_max_iters=self.inner_max_iters)
 
     @property
     def method_name(self) -> str:
@@ -135,8 +135,7 @@ class StopRule:
     kkt_tol: float
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigInvalid("max_iters must be at least 1")
+        require_count(ConfigInvalid, max_iters=self.max_iters)
         require_positive(ConfigInvalid, kkt_tol=self.kkt_tol)
 
 
@@ -145,8 +144,11 @@ class RunHistory:
     """Everything a run produced, aligned by iterate index.
 
     successive_h_steps[k] is the H-norm of the step into iterate k (nan
-    at k = 0); h_distances tracks the H-distance to a reference point
-    when one was supplied; predictors is populated only by relaxed runs.
+    at k = 0), between relaxed iterates in a relaxed run; h_distances
+    tracks the H-distance to a reference point when one was supplied;
+    predictors is populated only by relaxed runs.  run fills both H-norm
+    columns after its loop, stacked in blocks of 32 steps; each entry is
+    a float with the bits of math.sqrt over its own pair's quad_pair.
     """
 
     iterates: list
@@ -553,6 +555,8 @@ def ladmm_step(prob: SeparableProblem, cfg: BaselineConfig, w: PrimalDualPoint) 
 # ---------------------------------------------------------------------------
 # the run driver
 
+_BLOCK = 32  # steps per stacked H-norm form: each stack holds at most 33 x (n + m) floats
+
 
 def _single_block(prob):
     return prob.flat if isinstance(prob, SeparableProblem) else prob
@@ -592,6 +596,14 @@ class MethodSpec:
     def problem(self, prob):
         """The problem the method runs on."""
         return _single_block(prob) if self.flattens else prob
+
+
+def _inner_params(cfg: BaselineConfig) -> dict:
+    """A FISTA baseline's recorded params: MethodSpec's default, plus each
+    inner solver flag that is not BaselineConfig's default, so a default
+    history keeps its bytes."""
+    inner = {"inner_tol": cfg.inner_tol, "inner_max_iters": int(cfg.inner_max_iters)}
+    return MethodSpec.params(cfg) | {k: v for k, v in inner.items() if v != getattr(BaselineConfig, k)}
 
 
 def _split_config(prob, r, delta, r_list, **_) -> SplitConfig:
@@ -640,6 +652,7 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
             Method.CLASSIC_ALM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
         step=lambda prob, cfg, sys, at: _classic_alm(prob, cfg, at),
+        params=_inner_params,
         flattens=True,
     ),
     MethodSpec(
@@ -668,11 +681,13 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
             Method.ADMM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
         step=lambda prob, cfg, sys, at: _admm(prob, cfg, at),
+        params=_inner_params,
     ),
     MethodSpec(
         "ladmm",
         config=_ladmm_config,
         step=lambda prob, cfg, sys, at: _ladmm(prob, cfg, at),
+        params=_inner_params,
         stepsize=lambda prob, cfg, f: ("s", cfg.sigma_or_s, f * cfg.r * prob.block_gram_norms[1]),
         sharp_bounds=True,
     ),
@@ -691,6 +706,22 @@ def _check_start(prob, w0: PrimalDualPoint) -> PrimalDualPoint:
     return w0
 
 
+def _h_columns(metric: Metric, iterates: list, reference: PrimalDualPoint | None) -> tuple:
+    """(successive_h_steps, h_distances) of a trajectory.  Per block of
+    _BLOCK + 1 consecutive iterates, one quad_pair on their stacked steps
+    and one on their distances to reference; each row has the bits of its
+    own call, and np.sqrt rounds as math.sqrt does."""
+    steps, distances = [math.nan], None if reference is None else []
+    for start in range(0, len(iterates), _BLOCK):
+        block = iterates[start : start + _BLOCK + 1]
+        x, lam = np.array([w.x for w in block]), np.array([w.lam for w in block])
+        if len(block) > 1:
+            steps += np.sqrt(metric.quad_pair(x[:-1] - x[1:], lam[:-1] - lam[1:])).tolist()
+        if distances is not None:
+            distances += np.sqrt(metric.quad_pair(x[:_BLOCK] - reference.x, lam[:_BLOCK] - reference.lam)).tolist()
+    return steps, distances
+
+
 def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference: PrimalDualPoint | None = None) -> RunHistory:
     """Iterate until every KKT residual falls below stop.kkt_tol or
     stop.max_iters steps are taken.  Records the full trajectory.
@@ -703,6 +734,12 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     A_i^T lambda and unit-weight proxes (PointProducts) are shared by its
     residual and the step from it, so neither computes one the other has:
     at weight 1 a step's primal half is its residual's prox.
+
+    The loop only steps, relaxes, measures the KKT residual and tests the
+    stop.  The H-norm columns are filled after it from the recorded
+    iterates (_h_columns): one stacked quad_pair per block of _BLOCK (32)
+    steps, and one per block for the distances to reference, each row
+    with the bits of its own call.
     """
     spec = METHODS.get(getattr(cfg, "method_name", None))
     if spec is None:
@@ -714,40 +751,23 @@ def run(prob, cfg, stop: StopRule, w0: PrimalDualPoint | None = None, reference:
     metric = spec.metric(prob, params)
     alpha = params.get("alpha", 1.0)
     w = default_start(prob) if w0 is None else _check_start(prob, w0)
-
-    def h_dist(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
-        return math.sqrt(metric.quad_pair(u.x - v.x, u.lam - v.lam))
-
-    distances = None
     if reference is not None:
         _check_shapes(prob, reference, "reference")
-        distances = [h_dist(w, reference)]
     at = PointProducts(prob, w)
     iterates = [w]
     residuals = [kkt_residual(prob, w, at)]
-    steps_h = [math.nan]
     predictors = [] if alpha != 1.0 else None
 
     worst = residuals[0].max()  # nan if any part is nan: never converged, and the loop stops
     while stop.kkt_tol < worst < math.inf and len(iterates) <= stop.max_iters:
-        at_next = spec.step(prob, cfg, sys, at)
+        at = spec.step(prob, cfg, sys, at)
         if predictors is not None:
-            predictors.append(at_next.w)
-            at_next = PointProducts(prob, _relax(w, at_next.w, alpha))
-        w_next = at_next.w
-        iterates.append(w_next)
-        residuals.append(kkt_residual(prob, w_next, at_next))
-        steps_h.append(h_dist(w, w_next))
-        if distances is not None:
-            distances.append(h_dist(w_next, reference))
-        w, at = w_next, at_next
+            predictors.append(at.w)
+            at = PointProducts(prob, _relax(w, at.w, alpha))
+        w = at.w
+        iterates.append(w)
+        residuals.append(kkt_residual(prob, w, at))
         worst = residuals[-1].max()
-    return RunHistory(
-        iterates=iterates,
-        residuals=residuals,
-        successive_h_steps=steps_h,
-        h_distances=distances,
-        predictors=predictors,
-        metric=metric,
-        converged=worst <= stop.kkt_tol,
-    )
+    steps_h, distances = _h_columns(metric, iterates, reference)
+    return RunHistory(iterates=iterates, residuals=residuals, successive_h_steps=steps_h, h_distances=distances,
+                      predictors=predictors, metric=metric, converged=worst <= stop.kkt_tol)

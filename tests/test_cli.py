@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from balm import bench, cli
+from balm.solvers import StopRule, run
 
 import support
 
@@ -237,3 +238,27 @@ def test_solve_exits_three_on_a_quadratic_that_is_not_semidefinite(qp, capsys):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_IO
     assert out == "" and "at column 0" in err
+
+
+def test_a_classic_alm_history_records_an_inner_tol_that_is_not_the_default(qp, tmp_path, capsys):
+    """The FISTA baselines record inner_tol and inner_max_iters in params only
+    away from BaselineConfig's defaults: a default history keeps its bytes,
+    and one run at --inner-tol 1e-9 carries the key and replays."""
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("default", "spelled", "tight")}
+    solve = ["solve", "--problem", qp, "--method", "classic-alm", "--history"]
+    assert cli.main(solve + [paths["default"]]) == 0
+    assert cli.main(solve + [paths["spelled"], "--inner-tol", "1e-10", "--inner-max-iters", "50000"]) == 0
+    assert cli.main(solve + [paths["tight"], "--inner-tol", "1e-9"]) == 0
+    capsys.readouterr()
+    text = {name: open(path).read() for name, path in paths.items()}
+    prob, reference = bench.read_problem(qp)
+    hist = run(prob, bench.build_config("classic-alm", prob), StopRule(100_000, 1e-8), reference=reference)
+    old = bench.serialize_history(hist, "classic-alm", {"r": 1.0, "sigma_or_s": 0.0, "sharp_bounds": False})
+    assert text["default"] == text["spelled"] == old
+    meta, cols = bench.read_history_table(paths["tight"])
+    assert meta["params"] == {"r": 1.0, "sigma_or_s": 0.0, "sharp_bounds": False, "inner_tol": 1e-9}
+    replay = bench.history_from_table(prob, meta, cols)
+    assert len(replay) == len(cols["k"]) and replay.converged
+    # a certificate's verdict, not a refused file (exit 3)
+    code = cli.main(["certify", "--problem", qp, "--history", paths["tight"], "--check", "contraction"])
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)

@@ -2,8 +2,9 @@
 number above zero (errors.require_positive), at each of the ten sites
 that take one, each raising its own exception type and naming the value;
 a baseline's stepsize is finite as well as above its bound; prox refuses
-a non-finite weight for every objective kind; and a gap certificate with
-an infinite bound does not pass."""
+a non-finite weight for every objective kind; a gap certificate with
+an infinite bound does not pass; and every iteration count is an integer
+of at least 1 (errors.require_count)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import pytest
 
 from balm import bench
 from balm.diagnostics import GapCertificate, vi_gap
-from balm.errors import ConfigInvalid, DimensionMismatch, require_positive
+from balm.errors import ConfigInvalid, DimensionMismatch, require_count, require_positive
 from balm.multiplier import build_h0, build_h2, build_hp
 from balm.problems import PrimalDualPoint, default_start
 from balm.prox import L1, Linear, NonnegativeOrthant, Quadratic, SeparableSum, Zero, prox, prox_constrained
@@ -191,3 +192,47 @@ def test_vi_gap_fails_when_the_bound_overflows():
         cert = vi_gap(prob, far, t, 20, 0)
     assert cert.bound == math.inf and math.isfinite(cert.max_lhs)
     assert not cert.passes
+
+
+COUNTS = {
+    "StopRule": ("max_iters", lambda v: StopRule(v, 1e-8)),
+    "BaselineConfig": ("inner_max_iters", lambda v: BaselineConfig(Method.ADMM, 1.0, inner_max_iters=v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 2.0, True, False, 0, -3, np.int64(0), "3"])
+@pytest.mark.parametrize("site", COUNTS)
+def test_an_iteration_count_that_is_not_an_integer_of_at_least_one_is_named(site, value):
+    """max_iters = nan used to build and stop run after 0 steps, 2.5 to take
+    2 steps, and inner_max_iters = nan or 2.5 to die in range()."""
+    name, build = COUNTS[site]
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be at least 1 and an integer, not {re.escape(repr(value))}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_an_iteration_count_may_be_a_numpy_integer(site):
+    name, build = COUNTS[site]
+    for value in (1, np.int32(7), np.int64(50_000)):
+        assert getattr(build(value), name) == value
+
+
+def test_a_numpy_integer_cap_runs_its_steps():
+    prob, _ = bench.generate_instance("lasso_eq", (4, 10), 1)
+    hist = run(prob, BaselineConfig(Method.ADMM, 1.0, inner_max_iters=np.int64(50_000)), StopRule(np.int64(3), 1e-300))
+    assert len(hist) == 4
+    # recorded as a Python int, which the history's JSON line can hold
+    params = bench.config_params("admm", BaselineConfig(Method.ADMM, 1.0, inner_max_iters=np.int64(9)))
+    assert params == {"r": 1.0, "sigma_or_s": 0.0, "sharp_bounds": False, "inner_max_iters": 9}
+    assert type(params["inner_max_iters"]) is int
+
+
+def test_require_count_names_the_first_bad_count():
+    require_count(KeyError, a=1, b=np.uint8(200))
+    with pytest.raises(KeyError, match="c must be at least 1 and an integer, not 1.0"):
+        require_count(KeyError, a=1, c=1.0, d=0)
+
+
+def test_a_weight_is_checked_before_the_inner_count():
+    with pytest.raises(ConfigInvalid, match="^r = nan "):
+        BaselineConfig(Method.ADMM, math.nan, inner_max_iters=2.5)
