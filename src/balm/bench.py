@@ -455,8 +455,11 @@ def build_config(name: str, prob, **flags):
 
 
 def config_params(name: str, cfg) -> dict:
-    """The parameters a history table needs to rebuild the run metric."""
-    return METHODS[cfg.method_name].params(cfg)
+    """The parameters a history table needs to rebuild the run metric.
+    A config of another method than name is a ValueError."""
+    if cfg.method_name != name:
+        raise ValueError(f"config_params for {name!r} was given a {cfg.method_name!r} config")
+    return METHODS[name].params(cfg)
 
 
 @dataclass

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InsufficientHistory, MissingReference
 from .linalg import dot_rows, h_quadratic
 from .problems import PrimalDualPoint, multiplier_set, total_objective, vi_operator
-from .prox import members, project
+from .prox import WholeSpace, members, project
 
 CONTRACTION_SLACK_TOL = 1e-9
 GAP_TOL = 1e-8
@@ -116,57 +117,68 @@ def contraction_ledger(history, h, w_star: PrimalDualPoint, alpha: float = 1.0) 
     return certs
 
 
-def _feasible_mask(prob, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Membership of each point (x, lam), read along the last axis, in
-    the feasible product set: the multiplier set times every block's set."""
-    ok = members(multiplier_set(prob), lam)
-    for blk, xi in zip(prob.blocks, prob.split(x)):
-        ok &= members(blk.x_set, xi)
-    return ok
+def _constrained_parts(prob, n: int) -> list:
+    """The feasible product set resolved once: (set, columns) for every
+    block set and the multiplier set that is not the whole space, the
+    columns a slice of the stacked (x, lambda) with n primal entries."""
+    edges = list(accumulate((blk.n for blk in prob.blocks), initial=0))
+    parts = [(blk.x_set, slice(a, b)) for blk, a, b in zip(prob.blocks, edges, edges[1:])]
+    parts.append((multiplier_set(prob), slice(n, None)))
+    return [(s, cols) for s, cols in parts if not isinstance(s, WholeSpace)]
 
 
-def _feasible(prob, x: np.ndarray, lam: np.ndarray) -> bool:
-    """The gap sampler's accept test of one point (x, lam)."""
-    return bool(_feasible_mask(prob, x, lam))
+def _feasible(parts, w: np.ndarray) -> bool:
+    """The gap sampler's accept test of one stacked point w = (x, lambda)
+    against the constrained parts of _constrained_parts; with no part it
+    passes without a screen.  Kept a module attribute: perfbench hooks it
+    by name to count and time the batches tried."""
+    return all(members(s, w[cols]) for s, cols in parts)
 
 
-def _project_feasible(prob, x: np.ndarray, lam: np.ndarray):
-    x_p = np.concatenate([project(blk.x_set, xi) for blk, xi in zip(prob.blocks, prob.split(x))])
-    return x_p, project(multiplier_set(prob), lam)
-
-
-def _draw_probe(prob, center: np.ndarray, n: int, rng) -> tuple:
+def _draw_probe(prob, center: np.ndarray, n: int, rng, parts=None) -> tuple:
     """(w, projected): a probe, stacked as (x, lambda), drawn uniformly
     from the unit ball around center by rejection against the feasible
-    product set.
+    product set, whose constrained parts (_constrained_parts) vi_gap
+    resolves once per check and passes in.
 
     Draws come in batches of _BATCHES, each batch a block of directions,
     then a block of radii, from rng; the probe is the first feasible draw
-    in stream order.  One screen of a batch finds its first feasible row,
-    which _feasible, the accept test, then confirms.  Batch one is a
-    single draw, so a probe accepted at its first draw uses the stream
-    exactly as a one-draw-at-a-time loop.  When all _REJECTION_CAP draws
-    fail, the last one is projected onto the feasible set instead
-    (projected = True); the projection cannot leave the ball because the
-    center itself is feasible.
+    in stream order.  Batch one is a single draw, taken as one vector, so
+    a probe accepted at its first draw uses the stream exactly as a
+    one-draw-at-a-time loop, and a problem with no constrained part
+    accepts it, as _feasible over no part does.  A later batch's row
+    norms are one stacked dot_rows, each row with the bits of its own
+    d.dot(d), and one screen of its constrained columns finds its first
+    feasible row, which _feasible, the accept test, then confirms.  When all
+    _REJECTION_CAP draws fail, the last one is projected onto the
+    feasible set instead (projected = True); the projection cannot leave
+    the ball because the center itself is feasible.  The probe owns its
+    memory, so it does not keep its batch alive.
     """
-    dim = center.size
-    inv_dim = 1.0 / dim
-    for size in _BATCHES:
-        directions = rng.standard_normal((size, dim))
+    parts = _constrained_parts(prob, n) if parts is None else parts
+    inv_dim = 1.0 / center.size
+    # batch one, a single draw as one vector: w = center + radius * (direction / norm)
+    w = rng.standard_normal(center.size)
+    w /= math.sqrt(w.dot(w))
+    w *= rng.random() ** inv_dim
+    w += center
+    if _feasible(parts, w):
+        return w, False
+    for size in _BATCHES[1:]:
+        # the same for a batch of rows, in place
+        w = rng.standard_normal((size, center.size))
         radii = [u ** inv_dim for u in rng.random(size).tolist()]  # Python's pow: numpy's differs in bits
-        norms = [math.sqrt(d.dot(d)) for d in directions]  # np.linalg.norm per row, bit for bit
-        # w = center + radius * (direction / norm), in place
-        w = directions
-        w /= np.array(norms)[:, None]
+        w /= np.sqrt(dot_rows(w, w))[:, None]
         w *= np.array(radii)[:, None]
         w += center
-        # the first feasible row, or row 0 when none is; one row needs no screen
-        i = int(_feasible_mask(prob, w[:, :n], w[:, n:]).argmax()) if size > 1 else 0
-        w_i = w[i].copy()  # the probe does not keep its batch alive
-        if _feasible(prob, w_i[:n], w_i[n:]):
-            return w_i, False
-    return np.concatenate(_project_feasible(prob, w[-1, :n], w[-1, n:])), True
+        # the first feasible row, or row 0 when none is
+        i = int(np.logical_and.reduce([members(s, w[:, cols]) for s, cols in parts]).argmax())
+        if _feasible(parts, w[i]):
+            return w[i].copy(), False
+    w = w[-1].copy()
+    for s, cols in parts:
+        w[cols] = project(s, w[cols])
+    return w, True
 
 
 def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:
@@ -183,11 +195,15 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     (1,000) uniform draws from the unit ball around the ergodic average,
     drawn in batches of 1, 2, 4, ..., 256 and then the remaining 489.
     When no draw is feasible, the last one is projected onto the feasible
-    set instead, and counted in projected_probes.  Equality problems over
-    the whole space accept every probe at its first draw.  On an
+    set instead, and counted in projected_probes.  The feasible set's
+    constrained parts, each block set and the multiplier set that is not
+    the whole space, are resolved once per check and screened column by
+    column; a problem with no constrained part, an equality problem over
+    the whole space, accepts every probe at its first draw.  On an
     inequality problem, each multiplier at zero halves the share of the
     ball that is feasible, so with a dozen or more of them the projection
-    is the rule rather than the exception.
+    is the rule rather than the exception.  The accept test, _feasible,
+    runs once per batch tried; perfbench hooks it by name.
 
     The probes go in blocks of _BLOCK (32), each in two passes: the first
     draws the block's probes one after another from the one stream, the
@@ -209,12 +225,13 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     n = w_t.x.size
     theta_avg = total_objective(prob, w_t.x)
     rng = np.random.default_rng(rng_seed)
+    parts = _constrained_parts(prob, n)
 
     probes, scored = [], []  # scored: each block's (lhs, bound) rows
     projected = 0
     for start in range(0, probe_count, _BLOCK):
         # pass 1: draw, in stream order
-        arrays, flags = zip(*[_draw_probe(prob, center, n, rng) for _ in range(min(_BLOCK, probe_count - start))])
+        arrays, flags = zip(*[_draw_probe(prob, center, n, rng, parts) for _ in range(min(_BLOCK, probe_count - start))])
         probes += [PrimalDualPoint.from_array(w_arr, n) for w_arr in arrays]
         projected += sum(flags)
         # pass 2: score the block's probes as the rows of one stack

@@ -473,6 +473,14 @@ def test_config_params_carry_metric_inputs():
     assert p["sigma_or_s"] == 5.0
 
 
+def test_config_params_refuse_another_methods_config():
+    """A name that does not match the config's method is refused, naming
+    both, instead of recording the config's own method's parameters."""
+    prob, _ = generate_instance("random_qp_eq", (2, 3), seed=2)
+    with pytest.raises(ValueError, match="'admm'.*'balanced-alm'"):
+        config_params("admm", build_config("balanced-alm", prob))
+
+
 # ---------------------------------------------------------------------------
 # matchup runner
 

@@ -19,7 +19,7 @@ from balm.diagnostics import (
 from balm.errors import InsufficientHistory, MissingReference
 from balm.linalg import h_quadratic
 from balm.problems import Block, PrimalDualPoint, Problem, SeparableProblem, Sense
-from balm.prox import Box, NonnegativeOrthant, Quadratic, contains
+from balm.prox import Box, NonnegativeOrthant, Quadratic, WholeSpace, contains
 from balm.solvers import AltSplitMetric, BalancedAlmConfig, BalancedMetric, IdentityMetric, RunHistory, StopRule, run
 
 import support
@@ -329,9 +329,19 @@ def _constrained_case(seed: int, layout: str, sense: Sense, n: int, m: int, acti
     else:
         x_set = NonnegativeOrthant() if layout == "orthant" else _box(rng, n)
         prob = Problem(theta(n), x_set, rng.standard_normal((m, n)), b, sense)
+    return prob, _face_center(rng, prob, active)
+
+
+def _face_center(rng, prob, active: int) -> np.ndarray:
+    """A feasible stacked (x, lambda) with up to `active` coordinates on a
+    face of the feasible set, the others inside it; a whole-space block or
+    an equality multiplier has no face."""
     inside, faces = [], []
     for blk in prob.blocks:
-        if isinstance(blk.x_set, NonnegativeOrthant):
+        if isinstance(blk.x_set, WholeSpace):
+            inside.append(rng.standard_normal(blk.n))
+            faces.append(np.full(blk.n, np.nan))
+        elif isinstance(blk.x_set, NonnegativeOrthant):
             inside.append(rng.uniform(0.05, 1.5, blk.n))
             faces.append(np.zeros(blk.n))
         else:
@@ -339,17 +349,17 @@ def _constrained_case(seed: int, layout: str, sense: Sense, n: int, m: int, acti
             mid = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
             inside.append(np.minimum(mid + rng.uniform(0.05, 0.3, blk.n), hi))
             faces.append(np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, np.nan)))
-    if sense is Sense.INEQUALITY:
-        inside.append(rng.uniform(0.05, 1.5, m))
-        faces.append(np.zeros(m))
+    if prob.sense is Sense.INEQUALITY:
+        inside.append(rng.uniform(0.05, 1.5, prob.m))
+        faces.append(np.zeros(prob.m))
     else:
-        inside.append(rng.standard_normal(m))
-        faces.append(np.full(m, np.nan))
+        inside.append(rng.standard_normal(prob.m))
+        faces.append(np.full(prob.m, np.nan))
     center, face = np.concatenate(inside), np.concatenate(faces)
     on_face = rng.permutation(np.flatnonzero(~np.isnan(face)))[:active]
     center[on_face] = face[on_face]
-    assert support.gap_feasible_oracle(prob, center, n)
-    return prob, center
+    assert support.gap_feasible_oracle(prob, center, prob.n)
+    return center
 
 
 def _check_probes_against_oracle(prob, center, seed: int, count: int) -> list:
@@ -403,6 +413,64 @@ def test_gap_sampler_reaches_each_regime(active, regime):
         assert sum(d is not None and d > 1 for d in draws) >= 18
     else:
         assert draws == [None] * 20
+
+
+def _mixed_case(seed: int, constrained: str, whole_first: bool, sense: Sense, n: int, m: int, active: int):
+    """A two-block problem with a whole-space block beside an orthant or a
+    box block, in either order, and a feasible center with up to `active`
+    coordinates on a face of the feasible set."""
+    rng = np.random.default_rng(seed)
+    sizes, sets = (n // 2, n - n // 2), [WholeSpace(), NonnegativeOrthant() if constrained == "orthant" else _box(rng, n - n // 2)]
+    if not whole_first:
+        sizes, sets = sizes[::-1], sets[::-1]
+    blocks = tuple(Block(Quadratic(np.eye(k), np.zeros(k)), x_set, rng.standard_normal((m, k))) for k, x_set in zip(sizes, sets))
+    prob = SeparableProblem(blocks, np.zeros(m), sense)
+    return prob, _face_center(rng, prob, active)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    constrained=st.sampled_from(("orthant", "box")),
+    whole_first=st.booleans(),
+    sense=st.sampled_from((Sense.EQUALITY, Sense.INEQUALITY)),
+    n=st.integers(2, 40),
+    m=st.integers(1, 6),
+    active=st.integers(0, 14),
+)
+# accepted at draws 265 and 793, inside the 256- and the 489-row batch
+@example(seed=2, constrained="orthant", whole_first=False, sense=Sense.EQUALITY, n=12, m=3, active=8)
+@example(seed=1, constrained="box", whole_first=True, sense=Sense.INEQUALITY, n=11, m=2, active=8)
+def test_gap_sampler_screens_only_the_constrained_columns(seed, constrained, whole_first, sense, n, m, active):
+    """Beside a whole-space block, the sampler screens the constrained
+    block's columns (and lambda's, for an inequality problem) at their
+    place in the stacked (x, lambda): its probes and stream are the one-draw
+    oracle's, and vi_gap's certificate is the per-probe oracle's."""
+    prob, center = _mixed_case(seed, constrained, whole_first, sense, n, m, active)
+    _check_probes_against_oracle(prob, center, seed, count=3)
+    start = np.random.default_rng(seed).standard_normal(center.size)
+    metric = BalancedMetric([blk.a for blk in prob.blocks], [1.0, 1.0], 0.5)
+    hist = _history([(start[:n], start[n:]), (center[:n], center[n:])], metric)
+    _assert_same_certificate(vi_gap(prob, hist, 0, 3, seed), support.gap_oracle(prob, hist, 0, 3, seed))
+
+
+@pytest.mark.parametrize("active, regime", [(0, "first draw"), (8, "later batch"), (20, "projected")])
+def test_gap_probe_owns_its_memory(active, regime):
+    """In every regime the probe is an array of its own, not a view that
+    keeps its batch of draws alive."""
+    rng = np.random.default_rng(5)
+    prob = Problem(Quadratic(np.eye(12), np.zeros(12)), NonnegativeOrthant(), rng.standard_normal((8, 12)), np.zeros(8), Sense.INEQUALITY)
+    center = np.full(20, 2.0)
+    center[:active] = 0.0
+    draws = _check_probes_against_oracle(prob, center, seed=5, count=20)
+    if regime == "later batch":
+        assert any(d is not None and d > 1 for d in draws)
+    else:
+        assert draws == [1 if regime == "first draw" else None] * 20
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        w, _ = _draw_probe(prob, center, 12, rng)
+        assert w.flags.owndata and w.base is None
 
 
 def test_vi_gap_projects_every_probe_on_nonneg_qp_ineq():
