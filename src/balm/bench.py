@@ -26,6 +26,7 @@ balm solve and for each method of a matchup.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -253,6 +254,11 @@ def parse_problem(text: str):
             prob = SeparableProblem(tuple(Block(*_decode_block(blk)) for blk in doc["blocks"]), b, sense)
         else:
             prob = Problem(*_decode_block(doc), b, sense)
+        # every term of theta(0) is a coefficient times zero, so it is
+        # finite exactly when each coefficient is (a and b are checked already)
+        with np.errstate(invalid="ignore"):
+            if not math.isfinite(total_objective(prob, np.zeros(prob.n))):
+                raise ValueError("objective has non-finite coefficients")
     except (KeyError, TypeError, ValueError, BalmError) as exc:
         # the constructors' DimensionMismatch and NotPositiveDefinite included
         raise SchemaError(f"bad problem file: {exc}") from exc

@@ -60,7 +60,13 @@ def _as_rhs(b, m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One additive piece of a separable problem: theta_i, X_i and A_i."""
+    """One additive piece of a separable problem: theta_i, X_i and A_i.
+
+    The objective and the set must fit A_i's columns: each is evaluated
+    at zeros(n) once, so the prox module's own shape checks refuse
+    another width (DimensionMismatch) and an unknown kind
+    (UnsupportedObjective) here, where the block is built, not mid-run.
+    """
 
     theta: object
     x_set: object
@@ -68,6 +74,9 @@ class Block:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_matrix(self.a))
+        with np.errstate(all="ignore"):  # a non-finite coefficient is the caller's to refuse
+            project(self.x_set, np.zeros(self.n))
+            objective_value(self.theta, np.zeros(self.n))
 
     @property
     def m(self) -> int:
@@ -355,38 +364,31 @@ def _merge_quadratic(prob):
 
 
 def _scalar_parts(prob):
+    """One scalar part per coordinate: a Zero or L1 block's own (frozen)
+    object, a SeparableSum's parts, a slice of a Linear or diagonal Quadratic."""
     for blk in prob.blocks:
         t = blk.theta
-        for i in range(blk.n):
-            if isinstance(t, Zero):
-                yield Zero()
-            elif isinstance(t, L1):
-                yield L1(t.weight)
-            elif isinstance(t, Linear):
-                yield Linear(t.c[i : i + 1])
-            elif isinstance(t, SeparableSum):
-                yield t.parts[i]
-            else:
-                yield Quadratic(t.p[i : i + 1, i : i + 1], t.c[i : i + 1])
+        if isinstance(t, (Zero, L1)):
+            yield from (t,) * blk.n
+        elif isinstance(t, SeparableSum):
+            yield from t.parts
+        elif isinstance(t, Linear):
+            yield from (Linear(t.c[i : i + 1]) for i in range(blk.n))
+        else:
+            yield from (Quadratic(t.p[i : i + 1, i : i + 1], t.c[i : i + 1]) for i in range(blk.n))
 
 
 def _merge_sets(prob):
+    """The blocks' sets as one set over the stacked x.  Blocks whose sets
+    are all whole-space, or all the orthant, keep that set; any other mix
+    is the box of the blocks' bounds: a Box block's own lower and upper
+    arrays, and for another block its set's projection of -inf and +inf
+    (not a box's: clipping -inf to a -0.0 lower bound gives +0.0)."""
     sets = [blk.x_set for blk in prob.blocks]
-    if all(isinstance(s, WholeSpace) for s in sets):
-        return WholeSpace()
-    if all(isinstance(s, NonnegativeOrthant) for s in sets):
-        return NonnegativeOrthant()
+    if {type(s) for s in sets} in ({WholeSpace}, {NonnegativeOrthant}):
+        return sets[0]
     lower, upper = [], []
     for blk, s in zip(prob.blocks, sets):
-        if isinstance(s, WholeSpace):
-            lower.append(np.full(blk.n, -np.inf))
-            upper.append(np.full(blk.n, np.inf))
-        elif isinstance(s, NonnegativeOrthant):
-            lower.append(np.zeros(blk.n))
-            upper.append(np.full(blk.n, np.inf))
-        elif isinstance(s, Box):
-            lower.append(s.lower)
-            upper.append(s.upper)
-        else:
-            raise UnsupportedCombination(f"unknown set spec {type(s).__name__}")
+        lower.append(s.lower if isinstance(s, Box) else project(s, np.full(blk.n, -np.inf)))
+        upper.append(s.upper if isinstance(s, Box) else project(s, np.full(blk.n, np.inf)))
     return Box(np.concatenate(lower), np.concatenate(upper))

@@ -110,9 +110,9 @@ class SeparableSum:
 @dataclass(frozen=True)
 class _PartGroups:
     """Coordinates of a SeparableSum grouped by part kind, with the
-    kind's coefficients aligned to its index array."""
+    kind's coefficients aligned to its index array.  Zero parts need no
+    group: their prox is q and their value 0, where each pass starts."""
 
-    zero: np.ndarray
     l1: np.ndarray
     l1_weight: np.ndarray
     linear: np.ndarray
@@ -131,7 +131,6 @@ class _PartGroups:
 
         l1, linear, quad = where(L1), where(Linear), where(Quadratic)
         return cls(
-            zero=where(Zero),
             l1=l1,
             l1_weight=coef(l1, lambda part: part.weight),
             linear=linear,
@@ -264,8 +263,7 @@ def _separable_prox(g: _PartGroups, r: float, q: np.ndarray) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise NotPositiveDefinite(f"pivot {pivot[i]:.3e} at coordinate {g.quad[i]}")
-    out = np.empty_like(q)
-    out[g.zero] = q[g.zero]
+    out = q.copy()
     q1 = q[g.l1]
     out[g.l1] = np.sign(q1) * np.maximum(np.abs(q1) - g.l1_weight / r, 0.0)
     out[g.linear] = q[g.linear] - g.linear_c / r

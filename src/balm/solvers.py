@@ -608,7 +608,7 @@ def _inner_params(cfg: BaselineConfig) -> dict:
 
 def _split_config(prob, r, delta, r_list, **_) -> SplitConfig:
     _require_blocks(prob, "split-balanced")
-    return SplitConfig(tuple(r_list) if r_list else (r,) * len(prob.blocks), delta)
+    return SplitConfig((r,) * len(prob.blocks) if r_list is None else tuple(r_list), delta)
 
 
 def _ladmm_config(prob, r, s, sharp_bounds, inner_tol, inner_max_iters, **_) -> BaselineConfig:

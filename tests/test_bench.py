@@ -822,3 +822,25 @@ def test_cli_certify_relaxed_history_without_predictor_columns_exits_three(tmp_p
     capsys.readouterr()
     code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction"])
     _assert_io_error(code, capsys)
+
+
+@pytest.mark.parametrize("kind", ["basis_pursuit", "nonneg_qp_ineq"])
+def test_generator_refuses_more_rows_than_columns(kind):
+    with pytest.raises(InvalidDims, match="needs m <= n"):
+        generate_instance(kind, (5, 3), seed=0)
+
+
+def test_build_config_refuses_an_empty_r_list(tmp_path, capsys):
+    """An empty r_list used to stand for "not given" and become (r, r);
+    on the command line an empty --r-list is still not given."""
+    prob, _ = generate_instance("lasso_eq", (6, 12), seed=1)
+    with pytest.raises(ConfigInvalid, match="r_list needs one weight per block"):
+        build_config("split-balanced", prob, r_list=[])
+    assert build_config("split-balanced", prob, r=2.0).r_list == (2.0, 2.0)
+    ppath = str(tmp_path / "p.json")
+    cli.main(["generate", "--kind", "lasso_eq", "--m", "2", "--n", "4", "--seed", "5", "--out", ppath])
+    capsys.readouterr()
+    solve = ["solve", "--problem", ppath, "--method", "split-balanced", "--tol", "1e-6"]
+    assert cli.main(solve) == cli.main(solve + ["--r-list", ""]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second

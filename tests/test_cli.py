@@ -262,3 +262,11 @@ def test_a_classic_alm_history_records_an_inner_tol_that_is_not_the_default(qp, 
     # a certificate's verdict, not a refused file (exit 3)
     code = cli.main(["certify", "--problem", qp, "--history", paths["tight"], "--check", "contraction"])
     assert code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)
+
+
+def test_solve_exits_one_when_the_inner_solver_hits_its_cap(qp, capsys):
+    """classic-alm's FISTA at --inner-max-iters 1 stops short: NoConvergence, exit 1."""
+    code = cli.main(["solve", "--problem", qp, "--method", "classic-alm", "--inner-max-iters", "1"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert out == "" and err == "error: inner solver exceeded 1 iterations\n"

@@ -5,6 +5,8 @@ and history tables (one column layout, which the header must match)."""
 from __future__ import annotations
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,67 @@ def test_cli_solve_inconsistent_problem_file_exits_three(tmp_path, capsys, edit)
     assert err.startswith("error: bad problem file:") and "Traceback" not in err
 
 
+def _cut_objective_to(width: int):
+    def edit(doc):
+        doc["objective"].update(c=doc["objective"]["c"][:width], p=[row[:width] for row in doc["objective"]["p"][:width]])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_cut_objective_to(9), lambda doc: doc.update(set={"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3})],
+    ids=["objective-of-9", "box-of-3"],
+)
+def test_cli_a_problem_file_whose_block_misfits_its_columns_exits_three(tmp_path, capsys, edit):
+    """random_qp_eq 4x10 seed 1 with p and c cut to 9, or a box of length
+    3, used to fail mid-run: balm solve exited 2 and balm matchup exited 0
+    with an error row.  Each is now a bad problem file, refused at read."""
+    ppath, report = str(tmp_path / "p.json"), str(tmp_path / "m.md")
+    cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath])
+    _rewrite_problem(ppath, edit)
+    capsys.readouterr()
+    for command in (["solve", "--method", "balanced-alm"], ["matchup", "--methods", "balanced-alm", "--report", report]):
+        code = cli.main(command + ["--problem", ppath])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_BAD_IO and out == ""
+        assert err.startswith("error: bad problem file: vector shape (10,) does not match")
+    assert not os.path.exists(report)
+
+
+def _first_c(spec: dict, value: float) -> None:
+    spec.update(c=[value] + spec["c"][1:])
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("random_qp_eq", lambda doc: _first_c(doc["objective"], float("nan"))),
+        ("random_qp_eq", lambda doc: _first_c(doc["objective"], float("inf"))),
+        ("random_qp_eq", lambda doc: _first_c(doc["objective"], float("-inf"))),
+        ("random_qp_eq", lambda doc: doc.update(objective={
+            "kind": "separable_sum", "parts": [{"kind": "linear", "c": [float("nan")]}] + [{"kind": "zero"}] * 9})),
+        ("basis_pursuit", lambda doc: doc["objective"].update(weight=float("inf"))),
+        ("lasso_eq", lambda doc: doc["blocks"][0]["objective"].update(weight=float("inf"))),
+        ("lasso_eq", lambda doc: _first_c(doc["blocks"][1]["objective"], float("nan"))),
+    ],
+    ids=["c-nan", "c-inf", "c-minus-inf", "separable-part-nan", "l1-weight-inf", "block-weight-inf", "block-c-nan"],
+)
+def test_cli_solve_a_problem_file_of_non_finite_coefficients_exits_three(tmp_path, capsys, kind, edit):
+    """A NaN in c used to print status=max-iters iterations=0 ... dual=nan
+    and exit 1; a non-finite coefficient is now refused as a non-finite a
+    or b is, exit 3, with no numpy warning on the way."""
+    ppath = str(tmp_path / "p.json")
+    cli.main(["generate", "--kind", kind, "--m", "4", "--n", "10", "--seed", "1", "--out", ppath])
+    _rewrite_problem(ppath, edit)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--problem", ppath, "--method", "split-balanced" if kind == "lasso_eq" else "balanced-alm"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO and out == ""
+    assert err == "error: bad problem file: objective has non-finite coefficients\n"
+
+
 # ---------------------------------------------------------------------------
 # history tables
 
@@ -260,3 +323,14 @@ def test_balanced_metric_needs_one_weight_per_block():
         with pytest.raises(ValueError, match="prox weights for 2 blocks"):
             BalancedMetric(a_list, r_list, 0.1)
     assert BalancedMetric(a_list, [1.0, 2.0], 0.1).dense().shape == (7, 7)
+
+
+def test_cli_certify_history_whose_metadata_line_is_not_json_exits_three(tmp_path, capsys):
+    ppath, hpath = _history(tmp_path, capsys)
+    _edit_table(hpath, lambda lines: ["# {not json"] + lines[1:])
+    with pytest.raises(SchemaError, match="bad metadata line"):
+        read_history_table(hpath)
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and err.startswith("error: bad metadata line:")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from balm.diagnostics import _sample_probe
-from balm.errors import DimensionMismatch
+from balm.errors import DimensionMismatch, UnsupportedCombination, UnsupportedObjective
 from balm.problems import (
     Block,
     KktResidual,
@@ -306,3 +309,108 @@ def test_problem_matches_its_one_block_separable_bit_for_bit(case):
         lambda p: _sample_probe(p, w.as_array(), prob.n, np.random.default_rng(seed)),
     ):
         assert _bits(f(prob)) == _bits(f(sep))
+
+
+# ---------------------------------------------------------------------------
+# a block fits its columns where it is built; flattening reads each kind's rule
+
+
+def test_problem_rejects_a_nonfinite_rhs():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rhs has non-finite entries"):
+            Problem(Zero(), WholeSpace(), np.eye(2), np.array([0.0, bad]), Sense.EQUALITY)
+
+
+def test_separable_split_refuses_the_wrong_width():
+    prob = support.two_block_qp(np.random.default_rng(0), 3, 2, 2)[0]
+    with pytest.raises(DimensionMismatch, match=re.escape(f"x has shape ({prob.n + 1},)")):
+        prob.split(np.zeros(prob.n + 1))
+
+
+@pytest.mark.parametrize(
+    "theta, x_set, message",
+    [
+        (Linear(np.ones(2)), WholeSpace(), "objective shape"),
+        (Quadratic(np.eye(4), np.zeros(4)), NonnegativeOrthant(), "objective shape"),
+        (SeparableSum((Zero(), L1(1.0))), WholeSpace(), "objective shape"),
+        (L1(1.0), Box(np.zeros(2), np.ones(2)), "box bounds"),
+    ],
+    ids=["linear", "quadratic", "separable-sum", "box"],
+)
+def test_a_block_refuses_an_objective_or_set_of_another_width(theta, x_set, message):
+    """The prox module's own shape checks run once where the block is
+    built, for a Block and for a Problem, instead of mid-run."""
+    with pytest.raises(DimensionMismatch, match=message):
+        Block(theta, x_set, np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match=message):
+        Problem(theta, x_set, np.ones((2, 3)), np.zeros(2), Sense.EQUALITY)
+
+
+@dataclass(frozen=True)
+class _Ball:
+    """A spec no prox rule knows."""
+
+
+def test_a_block_refuses_an_unknown_set_or_objective_kind():
+    with pytest.raises(UnsupportedObjective, match="unknown set spec _Ball"):
+        Block(Zero(), _Ball(), np.ones((1, 2)))
+    with pytest.raises(UnsupportedObjective, match="unknown objective _Ball"):
+        Block(_Ball(), WholeSpace(), np.ones((1, 2)))
+
+
+def test_the_width_check_is_silent_on_non_finite_coefficients():
+    """Refusing non-finite coefficients is the problem file's rule
+    (bench.parse_problem); a caller may build such a block on purpose, and
+    evaluating it at zeros(n) for the width check warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Problem(Linear(np.array([np.inf])), WholeSpace(), np.ones((1, 1)), np.ones(1), Sense.EQUALITY)
+        Block(SeparableSum((L1(np.inf), Linear(np.array([np.nan])))), NonnegativeOrthant(), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch, match="objective shape"):
+            Block(Linear(np.array([np.inf, np.nan])), WholeSpace(), np.ones((1, 3)))
+
+
+def test_flatten_merges_a_box_beside_whole_space_and_orthant_blocks_bit_for_bit():
+    """A Box block gives its own bounds, so its -0.0 lower bound stays
+    -0.0; the other blocks give their set's projection of -inf and +inf."""
+    box = Box(np.array([-0.0, -1.0]), np.array([2.0, np.inf]))
+    blocks = (
+        Block(Zero(), WholeSpace(), np.ones((1, 1))),
+        Block(Zero(), box, np.ones((1, 2))),
+        Block(Zero(), NonnegativeOrthant(), np.ones((1, 2))),
+    )
+    flat = flatten_blocks(SeparableProblem(blocks, np.zeros(1), Sense.EQUALITY))
+    assert isinstance(flat.x_set, Box)
+    assert flat.x_set.lower.tobytes() == np.array([-np.inf, -0.0, -1.0, 0.0, 0.0]).tobytes()
+    assert flat.x_set.upper.tobytes() == np.array([np.inf, 2.0, np.inf, np.inf, np.inf]).tobytes()
+
+
+def test_flatten_gives_each_coordinate_its_blocks_own_scalar_part():
+    """A Zero or L1 block's own object serves each of its coordinates, a
+    SeparableSum's parts are kept, and a Linear block is sliced; the
+    flattened prox equals the blockwise one."""
+    l1, zero = L1(0.5), Zero()
+    sep = SeparableSum((Linear(np.array([1.5])), Zero(), Quadratic(np.array([[2.0]]), np.array([-1.0]))))
+    blocks = (
+        Block(l1, NonnegativeOrthant(), np.ones((1, 2))),
+        Block(Linear(np.array([0.25, -3.0])), WholeSpace(), np.ones((1, 2))),
+        Block(sep, Box(-np.ones(3), np.ones(3)), np.ones((1, 3))),
+        Block(zero, WholeSpace(), np.ones((1, 1))),
+    )
+    prob = SeparableProblem(blocks, np.zeros(1), Sense.EQUALITY)
+    parts = flatten_blocks(prob).theta.parts
+    assert parts[0] is l1 and parts[1] is l1 and parts[7] is zero
+    assert all(p is q for p, q in zip(parts[4:7], sep.parts))
+    assert [type(p) for p in parts[2:4]] == [Linear, Linear] and [p.c.tolist() for p in parts[2:4]] == [[0.25], [-3.0]]
+    flat = flatten_blocks(prob)
+    q = 3.0 * np.random.default_rng(0).standard_normal(prob.n)
+    for r in (0.5, 1.0, 4.0):
+        blockwise = [prox_constrained(b.theta, b.x_set, r, qi) for b, qi in zip(blocks, prob.split(q))]
+        assert np.array_equal(prox_constrained(flat.theta, flat.x_set, r, q), np.concatenate(blockwise))
+
+
+def test_flatten_refuses_a_coupled_quadratic_beside_an_l1_block():
+    coupled = Quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2))
+    blocks = (Block(coupled, WholeSpace(), np.ones((1, 2))), Block(L1(1.0), WholeSpace(), np.ones((1, 1))))
+    with pytest.raises(UnsupportedCombination, match="do not merge"):
+        flatten_blocks(SeparableProblem(blocks, np.zeros(1), Sense.EQUALITY))
