@@ -59,28 +59,33 @@ def generate_instance(kind: str, dims: tuple, seed: int, sparsity: int | None = 
     return _GENERATORS[kind](m, n, np.random.default_rng(seed), sparsity)
 
 
-def _random_spd(n: int, rng) -> np.ndarray:
+def _random_qp(kind: str, m: int, n: int, rng) -> tuple:
+    """(P, c, A) of a random QP, drawn in that order: P = G G^T / n + I / 2
+    from a Gaussian factor G, then c and A Gaussian."""
+    if m > n:
+        raise InvalidDims(f"{kind} needs m <= n for full-row-rank constraints")
     g = rng.standard_normal((n, n))
     p = g @ g.T / n + 0.5 * np.eye(n)
-    return 0.5 * (p + p.T)
+    return 0.5 * (p + p.T), rng.standard_normal(n), rng.standard_normal((m, n))
+
+
+def _eq_qp_solve(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(x, lam) of min 0.5 x'Px + c'x s.t. A x = b, read off its KKT system."""
+    n, m = p.shape[0], a.shape[0]
+    sol = np.linalg.solve(np.block([[p, -a.T], [a, np.zeros((m, m))]]), np.concatenate([-c, b]))
+    return sol[:n], sol[n:]
 
 
 def _random_qp_eq(m: int, n: int, rng, _sparsity):
     """Equality QP with its saddle point read off the KKT system."""
-    if m > n:
-        raise InvalidDims("random_qp_eq needs m <= n for full-row-rank constraints")
     if m == 1 and n == 1:
         # canonical scalar instance: min x^2/2 subject to x = 1
         prob = Problem(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1), np.ones(1), Sense.EQUALITY)
         return prob, PrimalDualPoint(np.ones(1), np.ones(1))
-    p = _random_spd(n, rng)
-    c = rng.standard_normal(n)
-    a = rng.standard_normal((m, n))
+    p, c, a = _random_qp("random_qp_eq", m, n, rng)
     b = rng.standard_normal(m)
-    kkt = np.block([[p, -a.T], [a, np.zeros((m, m))]])
-    sol = np.linalg.solve(kkt, np.concatenate([-c, b]))
     prob = Problem(Quadratic(p, c), WholeSpace(), a, b, Sense.EQUALITY)
-    return prob, PrimalDualPoint(sol[:n], sol[n:])
+    return prob, PrimalDualPoint(*_eq_qp_solve(p, c, a, b))
 
 
 def _sparse_vector(n: int, k: int, rng) -> np.ndarray:
@@ -118,11 +123,7 @@ def _lasso_eq(m: int, n: int, rng, sparsity):
 
 
 def _nonneg_qp_ineq(m: int, n: int, rng, _sparsity):
-    if m > n:
-        raise InvalidDims("nonneg_qp_ineq needs m <= n for full-row-rank constraints")
-    p = _random_spd(n, rng)
-    c = rng.standard_normal(n)
-    a = rng.standard_normal((m, n))
+    p, c, a = _random_qp("nonneg_qp_ineq", m, n, rng)
     b = a @ rng.standard_normal(n) + rng.standard_normal(m)
     prob = Problem(Quadratic(p, c), WholeSpace(), a, b, Sense.INEQUALITY)
     return prob, ineq_qp_reference(p, c, a, b)
@@ -148,7 +149,7 @@ def ineq_qp_reference(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
     they do not certify), then polishes by re-solving the equality KKT
     system on the identified active set.
     """
-    n, m = p.shape[0], a.shape[0]
+    m = a.shape[0]
     p_factor = cholesky_factor(p)
     pinv_at = np.column_stack([solve_spd(p_factor, a[i]) for i in range(m)])
     dual_mat = a @ pinv_at
@@ -159,15 +160,12 @@ def ineq_qp_reference(p: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
     x = solve_spd(p_factor, a.T @ lam - c)
     active = np.flatnonzero(lam > 1e-9)
     if active.size:
-        kkt = np.block(
-            [[p, -a[active].T], [a[active], np.zeros((active.size, active.size))]]
-        )
-        sol = np.linalg.solve(kkt, np.concatenate([-c, b[active]]))
+        x_pol, lam_active = _eq_qp_solve(p, c, a[active], b[active])
         lam_pol = np.zeros(m)
-        lam_pol[active] = sol[n:]
-        slack = a @ sol[:n] - b
+        lam_pol[active] = lam_active
+        slack = a @ x_pol - b
         if np.all(lam_pol >= -1e-12) and np.all(slack >= -1e-11 * (1.0 + np.abs(b))):
-            return PrimalDualPoint(sol[:n], np.maximum(lam_pol, 0.0))
+            return PrimalDualPoint(x_pol, np.maximum(lam_pol, 0.0))
     return PrimalDualPoint(x, lam)
 
 
@@ -238,11 +236,16 @@ def serialize_problem(prob, reference: PrimalDualPoint | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_problem(text: str):
+def _parse_json(text: str, phrase: str):
+    """The JSON value of text; a syntax error is a SchemaError led by phrase."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+        raise SchemaError(f"{phrase}: {exc}") from exc
+
+
+def parse_problem(text: str):
+    doc = _parse_json(text, "not valid JSON")
     if not isinstance(doc, dict):
         raise SchemaError("problem file must hold a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -268,13 +271,16 @@ def parse_problem(text: str):
 
 def _decode_reference(doc, prob) -> PrimalDualPoint:
     """The point {"x": [...], "lambda": [...]} of a problem file or a
-    reference file, checked against prob's dimensions."""
+    reference file, checked against prob's dimensions.  Every entry must
+    be finite: a NaN or infinite reference certifies nothing."""
     try:
         ref = PrimalDualPoint(np.array(doc["x"], dtype=float), np.array(doc["lambda"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad reference entry: {exc!r}") from exc
     if ref.x.shape != (prob.n,) or ref.lam.shape != (prob.m,):
         raise SchemaError(f"reference has shapes {ref.x.shape}/{ref.lam.shape}, expected ({prob.n},)/({prob.m},)")
+    if not (np.all(np.isfinite(ref.x)) and np.all(np.isfinite(ref.lam))):
+        raise SchemaError("reference has non-finite entries")
     return ref
 
 
@@ -304,11 +310,7 @@ def read_problem(path: str):
 
 def read_reference(path: str, prob) -> PrimalDualPoint:
     """A reference point for prob from its own JSON file."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"reference file is not valid JSON: {exc}") from exc
-    return _decode_reference(doc, prob)
+    return _decode_reference(_parse_json(_read_text(path), "reference file is not valid JSON"), prob)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +362,7 @@ def read_history_table(path: str):
     lines = _read_text(path).splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise SchemaError("history table is missing its metadata line")
-    try:
-        meta = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad metadata line: {exc}") from exc
+    meta = _parse_json(lines[0][2:], "bad metadata line")
     names = lines[1].split(",")
     rows = [ln for ln in lines[2:] if ln]
     table = np.empty((len(rows), len(names)))

@@ -153,7 +153,10 @@ class NonnegativeOrthant:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """lower <= x <= upper componentwise; bounds may be infinite."""
+    """lower <= x <= upper componentwise.  A bound may be infinite on its
+    own side (lower -inf, upper +inf); a lower bound of +inf or an upper
+    bound of -inf leaves no feasible point and is a ValueError, as are
+    crossed or NaN bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -165,6 +168,8 @@ class Box:
             raise DimensionMismatch("box bounds must be vectors of equal length")
         if not np.all(lower <= upper):
             raise ValueError("box bounds are crossed")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("box has no feasible point: a lower bound of +inf or an upper bound of -inf")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

@@ -235,6 +235,100 @@ def test_cli_solve_a_problem_file_of_non_finite_coefficients_exits_three(tmp_pat
     assert err == "error: bad problem file: objective has non-finite coefficients\n"
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("random_qp_eq", lambda doc: doc["objective"].update(p=doc["objective"]["p"][:9]), "P must be square"),
+        ("random_qp_eq", lambda doc: doc.update(objective={"kind": "linear", "c": [[1.0] * 10]}), "c must be a vector"),
+        ("random_qp_eq", lambda doc: doc.update(objective={"kind": "separable_sum", "parts": [
+            {"kind": "separable_sum", "parts": [{"kind": "zero"}]}] + [{"kind": "zero"}] * 9}), "unsupported part"),
+        ("random_qp_eq", lambda doc: doc.update(objective={"kind": "separable_sum", "parts": [
+            {"kind": "linear", "c": [1.0, 2.0]}] + [{"kind": "zero"}] * 9}), "separable parts must be scalar"),
+        ("random_qp_eq", lambda doc: doc.update(set={"kind": "box", "lower": [0.0] * 10, "upper": [1.0] * 9}),
+         "box bounds must be vectors of equal length"),
+        ("basis_pursuit", lambda doc: doc.update(set={
+            "kind": "box", "lower": [-_INF] * 9 + [_INF], "upper": [_INF] * 10}), "box has no feasible point"),
+        ("random_qp_eq", lambda doc: doc.update(set={"kind": "box", "lower": [_INF] * 10, "upper": [_INF] * 10}),
+         "box has no feasible point"),
+        ("random_qp_eq", lambda doc: doc.update(set={"kind": "box", "lower": [-_INF] * 10, "upper": [-_INF] * 10}),
+         "box has no feasible point"),
+    ],
+    ids=["non-square-p", "linear-c-matrix", "nested-separable-sum", "non-scalar-part", "box-bounds-unequal",
+         "box-lower-inf-at-9", "box-all-inf", "box-upper-minus-inf"],
+)
+def test_cli_solve_a_problem_file_that_its_classes_refuse_exits_three(tmp_path, capsys, kind, edit, message):
+    """Each spec class's own check refuses these at read, exit 3.  An
+    empty box (a lower bound of +inf, an upper one of -inf) used to be
+    read: basis_pursuit 4x10 seed 1 with coordinate 9's box [inf, inf]
+    warned from matvec_rows, printed status=max-iters iterations=0 and
+    exited 1, and random_qp_eq with an all-inf box exited 2."""
+    ppath = str(tmp_path / "p.json")
+    cli.main(["generate", "--kind", kind, "--m", "4", "--n", "10", "--seed", "1", "--out", ppath])
+    _rewrite_problem(ppath, edit)
+    with pytest.raises(SchemaError, match=message):
+        parse_problem((tmp_path / "p.json").read_text())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--problem", ppath, "--method", "balanced-alm"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO and out == ""
+    assert err.startswith(f"error: bad problem file: {message}")
+
+
+def _nan_x(doc):
+    doc["reference"]["x"] = [float("nan")] * len(doc["reference"]["x"])
+
+
+def _nan_x0(doc):
+    doc["reference"]["x"][0] = float("nan")
+
+
+def _inf_lambda(doc):
+    doc["reference"]["lambda"][-1] = _INF
+
+
+@pytest.mark.parametrize("edit", [_nan_x, _nan_x0, _inf_lambda], ids=["x-all-nan", "x0-nan", "lambda-inf"])
+def test_cli_an_embedded_reference_of_non_finite_entries_exits_three(tmp_path, capsys, edit):
+    """random_qp_eq 4x10 seed 1 with reference.x all NaN used to solve
+    (exit 0) and then fail its contraction certificate with min
+    slack=nan (exit 1); the reference is now refused at read, exit 3."""
+    ppath, hpath = str(tmp_path / "p.json"), str(tmp_path / "h.csv")
+    cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath])
+    cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--history", hpath])
+    _rewrite_problem(ppath, edit)
+    capsys.readouterr()
+    commands = (["solve", "--method", "balanced-alm"], ["certify", "--history", hpath, "--check", "contraction"])
+    for command in commands:
+        code = cli.main(command + ["--problem", ppath])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_BAD_IO and out == ""
+        assert err == "error: reference has non-finite entries\n"
+
+
+@pytest.mark.parametrize("key", ["x", "lambda"])
+@pytest.mark.parametrize("value", [float("nan"), _INF, -_INF], ids=["nan", "inf", "minus-inf"])
+def test_cli_certify_a_reference_file_of_non_finite_entries_exits_three(tmp_path, capsys, key, value):
+    """A --reference file whose lambda is Infinity used to fail the
+    contraction certificate (exit 1); it is now a bad file, exit 3."""
+    ppath, hpath = str(tmp_path / "p.json"), str(tmp_path / "h.csv")
+    cli.main(["generate", "--kind", "random_qp_eq", "--m", "4", "--n", "10", "--seed", "1", "--out", ppath])
+    cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--history", hpath])
+    ref = json.loads((tmp_path / "p.json").read_text())["reference"]
+    ref[key][-1] = value
+    refpath = str(tmp_path / "ref.json")
+    with open(refpath, "w") as fh:
+        json.dump(ref, fh)
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction", "--reference", refpath])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO and out == ""
+    assert err == "error: reference has non-finite entries\n"
+
+
 # ---------------------------------------------------------------------------
 # history tables
 

@@ -214,6 +214,16 @@ def test_box_rejects_crossed_bounds():
         Box(np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([np.inf], [np.inf]), ([-np.inf], [-np.inf]), ([0.0, np.inf], [1.0, np.inf]), ([-np.inf, 0.0], [-np.inf, 1.0])],
+    ids=["lower-inf", "upper-minus-inf", "lower-inf-at-1", "upper-minus-inf-at-0"],
+)
+def test_box_rejects_a_bound_with_no_feasible_point(lower, upper):
+    with pytest.raises(ValueError, match="box has no feasible point"):
+        Box(np.array(lower), np.array(upper))
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
