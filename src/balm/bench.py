@@ -399,8 +399,9 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     parsed table; residuals are recomputed from the iterates.  The header
     must be the one the metadata's n, m, has_reference and has_predictors
     give.  A table that lacks a field, has another header, does not fit
-    prob, or records an alpha that is not an int or float raises
-    SchemaError."""
+    prob, records an alpha that is not an int or float, or records a
+    method or params whose metric cannot be built on prob (a two-block
+    method over one block, say) raises SchemaError."""
     if not isinstance(meta, dict) or not {"n", "m", "method", "params"} <= meta.keys():
         raise SchemaError("history metadata needs n, m, method and params")
     n, m, params = meta["n"], meta["m"], meta["params"]
@@ -421,7 +422,7 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
         table = np.column_stack(list(cols.values()))
         metric = metric_for(meta["method"], params, prob)
         run_prob = METHODS[meta["method"]].problem(prob)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"history columns, method or parameters unusable: {exc!r}") from exc
     if not len(table):
         raise SchemaError("history table has no rows")

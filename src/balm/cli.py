@@ -15,7 +15,7 @@ import sys
 
 from . import bench
 from .diagnostics import contraction_ledger, vi_gap
-from .errors import BalmError, ConfigInvalid, NoConvergence, SchemaError
+from .errors import BalmError, ConfigInvalid, InsufficientHistory, NoConvergence, SchemaError
 from .solvers import METHODS, StopRule
 
 EXIT_OK = 0
@@ -122,6 +122,8 @@ def _cmd_certify(args) -> int:
     prob, embedded = bench.read_problem(args.problem)
     meta, cols = bench.read_history_table(args.history)
     history = bench.history_from_table(prob, meta, cols)
+    if len(history.iterates) < 2:
+        raise InsufficientHistory("the history records no step, one iterate: certify needs at least two")
     all_ok = True
     if "contraction" in checks:
         reference = bench.read_reference(args.reference, prob) if args.reference else embedded

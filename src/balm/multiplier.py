@@ -35,25 +35,23 @@ class MultiplierSystem:
         return self.factor.dim
 
 
-def _shifted_gram(scaled: list, shift: float) -> np.ndarray:
-    """sum_i (1/r_i) A_i A_i^T + shift I, symmetrized exactly."""
-    m = scaled[0][0].shape[0]
-    acc = np.zeros((m, m))
-    for a, r in scaled:
-        if a.shape[0] != m:
-            raise DimensionMismatch("blocks disagree on the constraint row count")
-        acc += (a @ a.T) / r
-    acc += shift * np.eye(m)
-    return 0.5 * (acc + acc.T)
-
-
 def _system(scaled: list, shift: float, **weights) -> MultiplierSystem:
-    """The shifted Gram and its factor.  A Gram that overflows, a weight
-    so small that its reciprocal scales A A^T (or I) past the float
-    range, raises ValueError naming the weights, rather than failing the
-    factor's symmetry test on the inf and nan it would hold."""
+    """The shifted Gram H = sum_i (1/r_i) A_i A_i^T + shift I of the
+    (A_i, r_i) pairs in scaled, symmetrized exactly, and its factor.
+    Blocks that disagree on the row count raise DimensionMismatch.  A
+    Gram that overflows, a weight so small that its reciprocal scales
+    A A^T (or I) past the float range, raises ValueError naming the
+    weights, rather than failing the factor's symmetry test on the inf
+    and nan it would hold."""
+    m = scaled[0][0].shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _shifted_gram(scaled, shift)
+        h = np.zeros((m, m))
+        for a, r in scaled:
+            if a.shape[0] != m:
+                raise DimensionMismatch("blocks disagree on the constraint row count")
+            h += (a @ a.T) / r
+        h += shift * np.eye(m)
+        h = 0.5 * (h + h.T)
     if not np.isfinite(h).all():
         named = ", ".join(f"{name} = {value}" for name, value in weights.items())
         raise ValueError(f"the dual metric overflows at {named}: it scales by each weight's reciprocal")

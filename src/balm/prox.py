@@ -191,14 +191,15 @@ def project(spec, v: np.ndarray) -> np.ndarray:
 def members(spec, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Membership of each vector along v's last axis, optionally with
     slack tol: a boolean array of shape v.shape[:-1], or for the whole
-    space a True that broadcasts against it."""
+    space a True that broadcasts against it.  Any set other than the
+    whole space and the orthant is read as a Box: spec is one that a
+    Block or the problem's multiplier set admitted, which refuse every
+    other kind when they are built."""
     if isinstance(spec, WholeSpace):
         return np.True_
     if isinstance(spec, NonnegativeOrthant):
         return np.all(v >= -tol, axis=-1)
-    if isinstance(spec, Box):
-        return np.all(v >= spec.lower - tol, axis=-1) & np.all(v <= spec.upper + tol, axis=-1)
-    raise UnsupportedObjective(f"unknown set spec {type(spec).__name__}")
+    return np.all(v >= spec.lower - tol, axis=-1) & np.all(v <= spec.upper + tol, axis=-1)
 
 
 def contains(spec, v: np.ndarray, tol: float = 0.0) -> bool:
@@ -280,28 +281,26 @@ def _separable_prox(g: _PartGroups, r: float, q: np.ndarray) -> np.ndarray:
 def prox_constrained(theta, x_set, r: float, q: np.ndarray) -> np.ndarray:
     """argmin_y theta(y) + (r/2)||y - q||^2 over the set.
 
-    Exact for any theta on the whole space; on boxes and the orthant it
-    clips the free prox, which is exact precisely when theta is
-    coordinatewise separable.
+    Exact for any theta on the whole space; on any other set it clips
+    the free prox through project, which is exact precisely when theta
+    is coordinatewise separable.  Another theta there raises
+    UnsupportedCombination; a set kind that no Block admits reaches
+    project, which raises UnsupportedObjective for it.
     """
     if isinstance(x_set, WholeSpace):
         return prox(theta, r, q)
-    if isinstance(x_set, (NonnegativeOrthant, Box)):
-        if not coordinatewise(theta):
-            raise UnsupportedCombination(
-                f"{type(theta).__name__} over {type(x_set).__name__} has no exact rule"
-            )
-        return project(x_set, prox(theta, r, q))
-    raise UnsupportedCombination(f"unknown set spec {type(x_set).__name__}")
+    if not coordinatewise(theta):
+        raise UnsupportedCombination(
+            f"{type(theta).__name__} over {type(x_set).__name__} has no exact rule"
+        )
+    return project(x_set, prox(theta, r, q))
 
 
 def coordinatewise(theta) -> bool:
     """Whether theta splits into a sum of scalar terms, one per coordinate."""
     if isinstance(theta, (Zero, L1, Linear, SeparableSum)):
         return True
-    if isinstance(theta, Quadratic):
-        return theta._diagonal
-    return False
+    return isinstance(theta, Quadratic) and theta._diagonal
 
 
 def _check_dim(shape: tuple, x: np.ndarray, rows: bool = False) -> None:

@@ -566,6 +566,11 @@ def _single_block(prob):
 class MethodSpec:
     """One row of the method table; the defaults describe a baseline.
 
+    A baseline's params(cfg) are r, sigma_or_s and sharp_bounds, plus
+    inner_tol and inner_max_iters each where it is not BaselineConfig's
+    default, so a default history keeps its bytes: one rule for all five
+    baselines, whether or not the method runs an inner solver.
+
     config(prob, **flags) builds the config from every flag of
     bench.SOLVER_FLAGS, with validated default stepsizes.
     check(prob, cfg, name) raises for what the method cannot run; run
@@ -588,7 +593,11 @@ class MethodSpec:
     check: Callable = lambda prob, cfg, name: _check_baseline(prob, cfg, name)
     stepsize: Callable | None = None
     system: Callable = lambda prob, cfg: None
-    params: Callable = lambda cfg: {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds}
+    params: Callable = lambda cfg: {"r": cfg.r, "sigma_or_s": cfg.sigma_or_s, "sharp_bounds": cfg.sharp_bounds} | {
+        name: value
+        for name, value in (("inner_tol", cfg.inner_tol), ("inner_max_iters", int(cfg.inner_max_iters)))
+        if value != getattr(BaselineConfig, name)
+    }
     metric: Callable = lambda prob, params: IdentityMetric(prob.n, prob.m)
     flattens: bool = False  # a SeparableProblem is merged into one block first
     sharp_bounds: bool = False  # the stepsize condition honours BaselineConfig.sharp_bounds
@@ -596,14 +605,6 @@ class MethodSpec:
     def problem(self, prob):
         """The problem the method runs on."""
         return _single_block(prob) if self.flattens else prob
-
-
-def _inner_params(cfg: BaselineConfig) -> dict:
-    """A FISTA baseline's recorded params: MethodSpec's default, plus each
-    inner solver flag that is not BaselineConfig's default, so a default
-    history keeps its bytes."""
-    inner = {"inner_tol": cfg.inner_tol, "inner_max_iters": int(cfg.inner_max_iters)}
-    return MethodSpec.params(cfg) | {k: v for k, v in inner.items() if v != getattr(BaselineConfig, k)}
 
 
 def _split_config(prob, r, delta, r_list, **_) -> SplitConfig:
@@ -652,7 +653,6 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
             Method.CLASSIC_ALM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
         step=lambda prob, cfg, sys, at: _classic_alm(prob, cfg, at),
-        params=_inner_params,
         flattens=True,
     ),
     MethodSpec(
@@ -681,13 +681,11 @@ METHODS: dict[str, MethodSpec] = {spec.name: spec for spec in (
             Method.ADMM, r, inner_tol=inner_tol, inner_max_iters=inner_max_iters
         ),
         step=lambda prob, cfg, sys, at: _admm(prob, cfg, at),
-        params=_inner_params,
     ),
     MethodSpec(
         "ladmm",
         config=_ladmm_config,
         step=lambda prob, cfg, sys, at: _ladmm(prob, cfg, at),
-        params=_inner_params,
         stepsize=lambda prob, cfg, f: ("s", cfg.sigma_or_s, f * cfg.r * prob.block_gram_norms[1]),
         sharp_bounds=True,
     ),

@@ -844,3 +844,23 @@ def test_build_config_refuses_an_empty_r_list(tmp_path, capsys):
     assert cli.main(solve) == cli.main(solve + ["--r-list", ""]) == 0
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
+
+
+class _SubQuadratic(Quadratic):
+    """A Quadratic by isinstance, so a Block admits it, but not a file kind."""
+
+
+def test_serialize_problem_refuses_an_objective_of_no_file_kind():
+    prob = Problem(_SubQuadratic(np.eye(2), np.zeros(2)), WholeSpace(), np.ones((1, 2)), np.zeros(1), Sense.EQUALITY)
+    with pytest.raises(SchemaError, match="cannot encode _SubQuadratic"):
+        serialize_problem(prob)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_every_baseline_records_an_inner_flag_only_away_from_its_default(method):
+    """One rule for every baseline's params, including a hand-built config
+    of a method whose build_config never sets an inner flag."""
+    base = {"r": 1.0, "sigma_or_s": 2.0, "sharp_bounds": False}
+    assert config_params(method.value, BaselineConfig(method, 1.0, 2.0)) == base
+    tight = BaselineConfig(method, 1.0, 2.0, inner_tol=1e-6, inner_max_iters=7)
+    assert config_params(method.value, tight) == base | {"inner_tol": 1e-6, "inner_max_iters": 7}

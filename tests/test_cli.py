@@ -270,3 +270,42 @@ def test_solve_exits_one_when_the_inner_solver_hits_its_cap(qp, capsys):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NO_CONVERGENCE
     assert out == "" and err == "error: inner solver exceeded 1 iterations\n"
+
+
+def test_certify_refuses_a_history_whose_method_does_not_fit_the_problem(qp, tmp_path, capsys):
+    """A one-block history relabelled as alt-split, a two-block method, is
+    a bad history file, exit 3, not an IndexError out of its metric."""
+    hpath, edited = str(tmp_path / "h.csv"), str(tmp_path / "edited.csv")
+    assert cli.main(["solve", "--problem", qp, "--method", "balanced-alm", "--history", hpath]) == 0
+    with open(hpath) as fh:
+        first, rest = fh.read().split("\n", 1)
+    meta = json.loads(first[2:])
+    meta.update(method="alt-split", params={"r": 1.0, "s": 1.0, "delta": 0.01})
+    with open(edited, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n" + rest)
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", qp, "--history", edited, "--check", "contraction"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and "IndexError" in err
+
+
+@pytest.mark.parametrize("check", ["contraction", "gap"])
+def test_certify_refuses_a_history_with_no_step(qp, tmp_path, capsys, check):
+    """With c, b and the reference zero the start is the saddle point, so
+    the run converges at iteration 0 and records one iterate: there is no
+    step to certify, exit 2, from either check."""
+    zero, hpath = str(tmp_path / "zero.json"), str(tmp_path / "zero.csv")
+    with open(qp) as fh:
+        doc = json.load(fh)
+    doc["objective"]["c"] = [0.0] * len(doc["objective"]["c"])
+    doc["b"] = [0.0] * len(doc["b"])
+    doc["reference"] = {key: [0.0] * len(value) for key, value in doc["reference"].items()}
+    with open(zero, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["solve", "--problem", zero, "--method", "balanced-alm", "--history", hpath]) == 0
+    assert "iterations=0" in capsys.readouterr().out
+    code = cli.main(["certify", "--problem", zero, "--history", hpath, "--check", check])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and "the history records no step" in err

@@ -437,3 +437,30 @@ def test_the_lapack_loader_falls_back_to_scipy_linalg_lapack(tmp_path, monkeypat
     module = linalg._load_flapack(str(tmp_path))
     assert module is lapack
     assert all(getattr(module, name) is getattr(linalg, name) for name in ROUTINES)
+
+
+def test_the_lapack_loader_reuses_a_registered_extension_module():
+    """With scipy's extension already registered under its own name, the
+    loader returns that module; a process that imports scipy.linalg before
+    balm binds the very routines scipy.linalg.lapack re-exports."""
+    assert linalg._load_flapack() is sys.modules[linalg._FLAPACK] is linalg._flapack
+    src = os.path.dirname(os.path.dirname(balm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, scipy.linalg, scipy.linalg.lapack as lapack, balm.linalg as ours\n"
+        "print(ours._flapack is sys.modules['scipy.linalg._flapack'], ours.dpotrf is lapack.dpotrf)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "True"]
+
+
+def test_solve_spd_on_an_empty_factor_returns_an_empty_array():
+    out = solve_spd(cholesky_factor(np.zeros((0, 0))), np.zeros(0))
+    assert out.shape == (0,)
+
+
+def test_h_quadratic_and_spectral_norm_refuse_a_matrix_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch, match="square"):
+        h_quadratic(np.ones((2, 3)), np.ones(3))
+    with pytest.raises(DimensionMismatch, match="expected a matrix"):
+        spectral_norm_sq(np.ones(3))

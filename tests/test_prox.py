@@ -324,3 +324,17 @@ def test_a_diagonal_quadratic_prox_over_the_orthant_builds_no_n_by_n_temporary()
         tracemalloc.stop()
     assert (again == first).all()
     assert peak < 1 << 20
+
+
+class _Ball:
+    """A set kind that no Block admits."""
+
+
+def test_prox_constrained_over_an_unknown_set_kind():
+    """A coordinatewise theta clips through project, which refuses the
+    unknown kind; any other theta has no exact rule over it."""
+    with pytest.raises(UnsupportedObjective, match="unknown set spec _Ball"):
+        prox_constrained(L1(1.0), _Ball(), 1.0, np.ones(2))
+    coupled = Quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2))
+    with pytest.raises(UnsupportedCombination, match="Quadratic over _Ball has no exact rule"):
+        prox_constrained(coupled, _Ball(), 1.0, np.ones(2))
