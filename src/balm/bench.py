@@ -396,19 +396,31 @@ def metric_for(method: str, params: dict, prob) -> Metric:
 
 def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
     """Reconstruct a RunHistory (iterates, predictors, metric) from a
-    parsed table; residuals are recomputed from the iterates.  The header
-    must be the one the metadata's n, m, has_reference and has_predictors
-    give.  A table that lacks a field, has another header, does not fit
-    prob, records an alpha that is not an int or float, or records a
-    method or params whose metric cannot be built on prob (a two-block
-    method over one block, say) raises SchemaError."""
+    parsed table.  The residuals are recomputed from the iterates by one
+    kkt_residual call on the stack of them, each equal to the residual of
+    its iterate alone.  The header must be the one the metadata's n, m,
+    has_reference and has_predictors give.  A table raises SchemaError
+    when it: records a schema other than the 1 that serialize_history
+    writes; lacks a field; has another header; does not fit prob; records
+    an alpha, r, delta, s or sigma_or_s that is not an int or float, or
+    an r_list that is not a list of them (a bool is not a number); or
+    records a method or params whose metric cannot be built on prob (a
+    two-block method over one block, say) or is not of prob's dimension
+    n + m (alt-split's, over three blocks)."""
     if not isinstance(meta, dict) or not {"n", "m", "method", "params"} <= meta.keys():
         raise SchemaError("history metadata needs n, m, method and params")
+    schema = meta.get("schema")
+    if not (type(schema) is int and schema == 1):
+        raise SchemaError(f"history schema={schema!r} is not 1")
     n, m, params = meta["n"], meta["m"], meta["params"]
     if not (type(n) is type(m) is int and (n, m) == (prob.n, prob.m) and isinstance(params, dict)):
         raise SchemaError(f"history n={n!r}, m={m!r}, params={params!r} do not fit the problem's n={prob.n}, m={prob.m}")
-    if type(params.get("alpha", 1.0)) not in (int, float):  # bool and str are not relaxation factors
-        raise SchemaError(f"history alpha={params['alpha']!r} is not a number")
+    for name in ("alpha", "r", "delta", "s", "sigma_or_s"):
+        if name in params and type(params[name]) not in (int, float):  # bool and str are not numbers
+            raise SchemaError(f"history {name}={params[name]!r} is not a number")
+    r_list = params.get("r_list", [])
+    if type(r_list) is not list or any(type(r) not in (int, float) for r in r_list):
+        raise SchemaError(f"history r_list={r_list!r} is not a list of numbers")
     has_reference, has_predictors = bool(meta.get("has_reference")), bool(meta.get("has_predictors"))
     header = _history_columns(n, m, has_reference, has_predictors)
     if list(cols) != header:
@@ -424,12 +436,16 @@ def history_from_table(prob, meta: dict, cols: dict) -> RunHistory:
         run_prob = METHODS[meta["method"]].problem(prob)
     except (LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"history columns, method or parameters unusable: {exc!r}") from exc
+    if metric.shape != (n + m, n + m):
+        raise SchemaError(f"history method {meta['method']!r} builds a metric of shape {metric.shape} on this problem,"
+                          f" not ({n + m}, {n + m})")
     if not len(table):
         raise SchemaError("history table has no rows")
-    iterates = points(header.index("x_0"), 0)
+    at = header.index("x_0")
     return RunHistory(
-        iterates=iterates,
-        residuals=[kkt_residual(run_prob, w) for w in iterates],
+        iterates=points(at, 0),
+        # row slices of the C-ordered table: each row's entries sit next to each other, as kkt_residual needs
+        residuals=kkt_residual(run_prob, PrimalDualPoint(table[:, at : at + n], table[:, at + n : at + n + m])),
         successive_h_steps=table[:, header.index("step_h")].tolist(),
         h_distances=table[:, header.index("dist_h")].tolist() if has_reference else None,
         # predictors lead the iterates by one step; row 0 only pads the table

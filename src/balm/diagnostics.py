@@ -146,31 +146,26 @@ def _draw_probe(prob, center: np.ndarray, n: int, rng, parts=None) -> tuple:
     in stream order.  Batch one is a single draw, taken as one vector, so
     a probe accepted at its first draw uses the stream exactly as a
     one-draw-at-a-time loop, and a problem with no constrained part
-    accepts it, as _feasible over no part does.  A later batch's row
-    norms are one stacked dot_rows, each row with the bits of its own
-    d.dot(d), and one screen of its constrained columns finds its first
-    feasible row, which _feasible, the accept test, then confirms.  When all
-    _REJECTION_CAP draws fail, the last one is projected onto the
-    feasible set instead (projected = True); the projection cannot leave
-    the ball because the center itself is feasible.  The probe owns its
-    memory, so it does not keep its batch alive.
+    accepts it, as _feasible over no part does.  A later batch is shaped
+    as one stack (_onto_ball), and one screen of its constrained columns
+    finds its first feasible row, which _feasible, the accept test, then
+    confirms.  When all _REJECTION_CAP draws fail, the last one is
+    projected onto the feasible set instead (projected = True); the
+    projection cannot leave the ball because the center itself is
+    feasible.  The probe owns its memory, so it does not keep its batch
+    alive.
     """
     parts = _constrained_parts(prob, n) if parts is None else parts
-    inv_dim = 1.0 / center.size
     # batch one, a single draw as one vector: w = center + radius * (direction / norm)
     w = rng.standard_normal(center.size)
     w /= math.sqrt(w.dot(w))
-    w *= rng.random() ** inv_dim
+    w *= rng.random() ** (1.0 / center.size)
     w += center
     if _feasible(parts, w):
         return w, False
     for size in _BATCHES[1:]:
-        # the same for a batch of rows, in place
-        w = rng.standard_normal((size, center.size))
-        radii = [u ** inv_dim for u in rng.random(size).tolist()]  # Python's pow: numpy's differs in bits
-        w /= np.sqrt(dot_rows(w, w))[:, None]
-        w *= np.array(radii)[:, None]
-        w += center
+        # the same for a batch of rows: a block of directions, then a block of radii
+        w = _onto_ball(rng.standard_normal((size, center.size)), rng.random(size).tolist(), center)
         # the first feasible row, or row 0 when none is
         i = int(np.logical_and.reduce([members(s, w[:, cols]) for s, cols in parts]).argmax())
         if _feasible(parts, w[i]):
@@ -179,6 +174,36 @@ def _draw_probe(prob, center: np.ndarray, n: int, rng, parts=None) -> tuple:
     for s, cols in parts:
         w[cols] = project(s, w[cols])
     return w, True
+
+
+def _onto_ball(w: np.ndarray, u: list, center: np.ndarray) -> np.ndarray:
+    """Rows of Gaussian draws w and uniform draws u made points of the
+    unit ball around center, in place: each row divided by its norm (one
+    stacked dot_rows, each row with the bits of its own d.dot(d)), times
+    u_i ** (1 / dim) by Python's pow (numpy's differs in bits), plus
+    center; a row's bits are those of shaping it as one vector."""
+    inv_dim = 1.0 / center.size
+    w /= np.sqrt(dot_rows(w, w))[:, None]
+    w *= np.array([ui ** inv_dim for ui in u])[:, None]
+    w += center
+    return w
+
+
+def _first_draws(center: np.ndarray, size: int, rng) -> np.ndarray:
+    """The probes of a problem with no constrained part, size of them as
+    the rows of one array: each probe's first draw, a direction and then
+    a radius, taken in stream order, and all of them shaped at once
+    (_onto_ball).  Over no part every first draw is accepted, so the rows
+    are the probes _draw_probe gives one at a time, bit for bit."""
+    w = np.empty((size, center.size))
+    u = []
+    for row in w:
+        rng.standard_normal(out=row)
+        u.append(rng.random())
+    _onto_ball(w, u, center)
+    for row in w:
+        _feasible((), row)  # the accept test once per probe, as _draw_probe runs it; perfbench counts the calls
+    return w
 
 
 def _sample_probe(prob, center: np.ndarray, n: int, rng) -> PrimalDualPoint:
@@ -203,14 +228,19 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     inequality problem, each multiplier at zero halves the share of the
     ball that is feasible, so with a dozen or more of them the projection
     is the rule rather than the exception.  The accept test, _feasible,
-    runs once per batch tried; perfbench hooks it by name.
+    runs once per batch tried, so once per probe where there is no
+    constrained part; perfbench hooks it by name.
 
     The probes go in blocks of _BLOCK (32), each in two passes: the first
     draws the block's probes one after another from the one stream, the
     second stacks them as rows and scores them all at once, objective,
-    operator and metric each one call on the stack.  Every stacked
-    product is one BLAS call per row, the call one probe alone makes, so
-    each probe's lhs and bound have the bits of scoring it by itself.
+    operator and metric each one call on the stack.  Where there is no
+    constrained part, the first pass takes each probe's direction and
+    radius in stream order and shapes the whole block as one stack
+    (_first_draws), with the bits of shaping each probe by itself.  Every
+    stacked product is one BLAS call per row, the call one probe alone
+    makes, so each probe's lhs and bound have the bits of scoring it by
+    itself.
     The worst probe, one argmax over every probe's lhs - bound, is the
     first with the largest margin; a probe whose lhs - bound is nan (a
     non-finite ergodic point, say) is worse than any other, so the first
@@ -230,12 +260,16 @@ def vi_gap(prob, history, t: int, probe_count: int, rng_seed: int) -> GapCertifi
     probes, scored = [], []  # scored: each block's (lhs, bound) rows
     projected = 0
     for start in range(0, probe_count, _BLOCK):
+        size = min(_BLOCK, probe_count - start)
         # pass 1: draw, in stream order
-        arrays, flags = zip(*[_draw_probe(prob, center, n, rng, parts) for _ in range(min(_BLOCK, probe_count - start))])
-        probes += [PrimalDualPoint.from_array(w_arr, n) for w_arr in arrays]
-        projected += sum(flags)
+        if parts:
+            arrays, flags = zip(*[_draw_probe(prob, center, n, rng, parts) for _ in range(size)])
+            w = np.array(arrays)
+            projected += sum(flags)
+        else:
+            w = _first_draws(center, size, rng)
+        probes += [PrimalDualPoint.from_array(row, n) for row in w]
         # pass 2: score the block's probes as the rows of one stack
-        w = np.array(arrays)
         x = w[:, :n]
         lhs = theta_avg - total_objective(prob, x) + dot_rows(center - w, vi_operator(prob, PrimalDualPoint(x, w[:, n:])))
         scored.append((lhs, h_quadratic(h, w - w0) / (2.0 * (t + 1))))

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedCombination
-from .linalg import blas_matrix, gram_norm_bound, matvec_rows
+from .linalg import blas_matrix, dot_rows, gram_norm_bound, matvec_rows
 from .prox import (
     Box,
     L1,
@@ -243,11 +243,18 @@ def lagrangian(prob, w: PrimalDualPoint) -> float:
     return total_objective(prob, w.x) - float(w.lam @ coupling(prob, w.x))
 
 
-def _norm(v: np.ndarray) -> float:
+def _norm(v: np.ndarray) -> float | np.ndarray:
     """||v||_2 as sqrt(v . v), what np.linalg.norm computes for a 1-d
     array, bit for bit, without its argument handling.  The squares
     overflow above ~1e154 on finite input; only then is the norm taken
-    as s ||v / s|| with s = max |v_i|."""
+    as s ||v / s|| with s = max |v_i|.  A stack of vectors, one per row,
+    gives an array of norms with each row's bits (dot_rows); a finite
+    row whose squares overflow takes the rescaled norm of its own."""
+    if v.ndim > 1:
+        out = np.sqrt(dot_rows(v, v))
+        for i in np.flatnonzero(~np.isfinite(out) & np.isfinite(v).all(axis=-1)):
+            out[i] = _norm(v[i])
+        return out
     out = math.sqrt(v.dot(v))
     if not math.isfinite(out) and np.isfinite(v).all():
         scale = float(np.max(np.abs(v)))
@@ -261,6 +268,8 @@ class PointProducts:
     most once: A x - b (resid), A_i^T lambda for every block i (at_lam)
     and block i's prox_constrained(theta_i, X_i, r, x_i + A_i^T lambda / r)
     for each weight r asked for (prox); xs is prob.split(w.x), taken once.
+    A point whose x and lambda are stacks of rows gives each product per
+    row, with the bits of that row's own point.
 
     run keeps one for the current iterate and hands it to the step and to
     kkt_residual; whichever reads an entry first fills it, so the
@@ -286,7 +295,9 @@ class PointProducts:
     def at_lam(self, i: int = 0) -> np.ndarray:
         out = self._at_lam[i]
         if out is None:
-            out = self._at_lam[i] = self.prob.blocks[i].a.T.dot(self.w.lam)
+            a, lam = self.prob.blocks[i].a, self.w.lam
+            # one point keeps .dot, whose 1 x 1 product keeps a -0.0 that a BLAS sum from +0.0 drops
+            out = self._at_lam[i] = a.T.dot(lam) if lam.ndim == 1 else matvec_rows(a.T, lam)
         return out
 
     def prox(self, i: int, r: float) -> np.ndarray:
@@ -298,7 +309,7 @@ class PointProducts:
         return out
 
 
-def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None) -> KktResidual:
+def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None) -> KktResidual | list:
     """Primal, dual and complementarity residual norms at w.
 
     The dual residual is the prox-based fixed-point gap
@@ -308,6 +319,14 @@ def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None
     (PointProducts(prob, w)); the residual reuses what it holds and
     leaves in it what it computes, so a step at weight 1 from w takes
     the residual's prox as its primal half.
+
+    A point whose x and lambda are 2-d stacks, one point per row, gives a
+    list of one KktResidual per row, each equal field for field to the
+    residual of that row alone: every product is one BLAS call per row
+    (matvec_rows, dot_rows) and every prox works row by row (prox.prox).
+    That holds for rows whose entries sit next to each other in memory,
+    row slices of a C-ordered table among them; a column-major stack
+    leaves the one-call-per-row path and may round differently.
     """
     at = PointProducts(prob, w) if products is None else products
     resid = at.resid()
@@ -316,10 +335,13 @@ def kkt_residual(prob, w: PrimalDualPoint, products: PointProducts | None = None
         comp = 0.0
     else:
         primal = _norm(np.minimum(resid, 0.0))
-        comp = float(abs(w.lam.dot(resid)))
+        comp = abs(dot_rows(w.lam, resid))
     gaps = [xi - at.prox(i, 1.0) for i, xi in enumerate(at.xs)]
-    dual = _norm(np.concatenate(gaps) if len(gaps) > 1 else gaps[0])  # one gap needs no copy
-    return KktResidual(primal=primal, dual=dual, complementarity=comp)
+    dual = _norm(np.concatenate(gaps, axis=-1) if len(gaps) > 1 else gaps[0])  # one gap needs no copy
+    if resid.ndim == 1:
+        return KktResidual(primal=primal, dual=dual, complementarity=comp)
+    comps = np.broadcast_to(comp, primal.shape).tolist()
+    return [KktResidual(*fields) for fields in zip(primal.tolist(), dual.tolist(), comps)]
 
 
 def default_start(prob) -> PrimalDualPoint:

@@ -175,14 +175,15 @@ class Box:
 
 
 def project(spec, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the set."""
+    """Euclidean projection of v onto the set; of each row, for a stack
+    of vectors along the last axis."""
     v = np.asarray(v, dtype=float)
     if isinstance(spec, WholeSpace):
         return v.copy()
     if isinstance(spec, NonnegativeOrthant):
         return np.maximum(v, 0.0)
     if isinstance(spec, Box):
-        if v.shape != spec.lower.shape:
+        if v.shape[-1:] != spec.lower.shape:
             raise DimensionMismatch(f"vector shape {v.shape} does not match box bounds")
         return np.clip(v, spec.lower, spec.upper)
     raise UnsupportedObjective(f"unknown set spec {type(spec).__name__}")
@@ -218,13 +219,13 @@ def objective_value(theta, x: np.ndarray):
         value = theta.weight * np.sum(np.abs(x), axis=None if one else -1)
         return float(value) if one else value
     if isinstance(theta, Quadratic):
-        _check_dim(theta.c.shape, x, rows=True)
+        _check_dim(theta.c.shape, x)
         return dot_rows(0.5 * x, matvec_rows(theta.p, x)) + dot_rows(theta.c, x)
     if isinstance(theta, Linear):
-        _check_dim(theta.c.shape, x, rows=True)
+        _check_dim(theta.c.shape, x)
         return dot_rows(theta.c, x)
     if isinstance(theta, SeparableSum):
-        _check_dim((len(theta.parts),), x, rows=True)
+        _check_dim((len(theta.parts),), x)
         g = theta._groups
         values = np.zeros_like(x)
         values[..., g.l1] = g.l1_weight * np.abs(x[..., g.l1])
@@ -240,7 +241,12 @@ def objective_value(theta, x: np.ndarray):
 
 
 def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
-    """argmin_y theta(y) + (r/2)||y - q||^2, in closed form."""
+    """argmin_y theta(y) + (r/2)||y - q||^2, in closed form.
+
+    A stack of q, one per row of a 2-d array, gives one prox per row with
+    that row's bits: every kind but Quadratic works elementwise on the
+    whole stack, and a Quadratic takes one pair of triangular solves per
+    row (a solve of all rows at once rounds differently)."""
     # inline, not errors.require_positive: this runs for every block on every
     # iteration and on every FISTA inner iteration, so it takes no helper call
     if not 0 < r < math.inf:
@@ -256,7 +262,12 @@ def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
         return q - theta.c / r
     if isinstance(theta, Quadratic):
         _check_dim(theta.c.shape, q)
-        return theta.solve_shifted(r, r * q - theta.c)
+        if q.ndim == 1:
+            return theta.solve_shifted(r, r * q - theta.c)
+        rhs = r * q - theta.c
+        for row in rhs:
+            row[:] = theta.solve_shifted(r, row)
+        return rhs
     if isinstance(theta, SeparableSum):
         _check_dim((len(theta.parts),), q)
         return _separable_prox(theta._groups, r, q)
@@ -270,11 +281,13 @@ def _separable_prox(g: _PartGroups, r: float, q: np.ndarray) -> np.ndarray:
         i = bad[0]
         raise NotPositiveDefinite(f"pivot {pivot[i]:.3e} at coordinate {g.quad[i]}")
     out = q.copy()
-    q1 = q[g.l1]
-    out[g.l1] = np.sign(q1) * np.maximum(np.abs(q1) - g.l1_weight / r, 0.0)
-    out[g.linear] = q[g.linear] - g.linear_c / r
+    # a stack indexes its last axis, at about four times the cost of a vector's plain index
+    l1, linear, quad = (g.l1, g.linear, g.quad) if q.ndim == 1 else ((..., g.l1), (..., g.linear), (..., g.quad))
+    q1 = q[l1]
+    out[l1] = np.sign(q1) * np.maximum(np.abs(q1) - g.l1_weight / r, 0.0)
+    out[linear] = q[linear] - g.linear_c / r
     root = np.sqrt(pivot)
-    out[g.quad] = (r * q[g.quad] - g.quad_c) / root / root
+    out[quad] = (r * q[quad] - g.quad_c) / root / root
     return out
 
 
@@ -303,7 +316,8 @@ def coordinatewise(theta) -> bool:
     return isinstance(theta, Quadratic) and theta._diagonal
 
 
-def _check_dim(shape: tuple, x: np.ndarray, rows: bool = False) -> None:
-    """x has the objective's shape; with rows, x may also be a stack of such vectors."""
-    if (x.shape[-1:] if rows else x.shape) != shape:
+def _check_dim(shape: tuple, x: np.ndarray) -> None:
+    """x has the objective's shape, or is a stack of such vectors along its
+    last axis; one vector passes at the first comparison, with no slice."""
+    if x.shape != shape and x.shape[-1:] != shape:
         raise DimensionMismatch(f"vector shape {x.shape} does not match objective shape {shape}")

@@ -145,6 +145,16 @@ def two_block_qp(rng, n1: int, n2: int, m: int):
     return sep, PrimalDualPoint(sol[:n], sol[n:])
 
 
+def split_second_block(prob: SeparableProblem, k: int) -> SeparableProblem:
+    """prob with its second block, a Quadratic over the whole space, cut
+    after its first k columns into two blocks: three blocks, the same n
+    and m (P's off-diagonal block between the two parts is dropped)."""
+    first, second = prob.blocks
+    p, c, a = second.theta.p, second.theta.c, second.a
+    halves = [Block(Quadratic(p[cut, cut], c[cut]), WholeSpace(), a[:, cut]) for cut in (slice(None, k), slice(k, None))]
+    return SeparableProblem((first, *halves), prob.b, prob.sense)
+
+
 def scalar_problem() -> Problem:
     """min x^2/2 subject to x = 1; saddle point (1, 1)."""
     return Problem(Quadratic(np.eye(1), np.zeros(1)), WholeSpace(), np.eye(1), np.ones(1), Sense.EQUALITY)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,70 @@ def test_metric_for_all_methods():
         alt_split_metric(sep.blocks[0].a, sep.blocks[1].a, 1.0, 2.0, 0.2),
     )
     assert np.array_equal(metric_for("classic-alm", {}, prob), np.eye(prob.n + prob.m))
+
+
+def _recorded_table(tmp_path, method: str, prob=None):
+    """(prob, meta, cols) of a 20-step history of method, read back from its file."""
+    if prob is None:
+        if method == "alt-split":
+            prob, _ = support.two_block_qp(np.random.default_rng(1), 2, 3, 2)
+        else:
+            prob, _ = generate_instance("lasso_eq" if method == "split-balanced" else "random_qp_eq", (2, 4), seed=1)
+    cfg = build_config(method, prob)
+    path = str(tmp_path / "hist.csv")
+    write_history(path, run(prob, cfg, StopRule(20, 1e-14)), method, config_params(method, cfg))
+    return (prob, *read_history_table(path))
+
+
+@pytest.mark.parametrize("value", ["1.5", True, False, None, [1.5], {"value": 1.5}])
+@pytest.mark.parametrize(
+    "method, name",
+    [("balanced-alm", "r"), ("balanced-alm", "delta"), ("alt-split", "s"), ("primal-dual", "sigma_or_s"),
+     ("split-balanced", "r_list")],
+)
+def test_history_from_table_refuses_a_recorded_param_that_is_not_a_number(tmp_path, method, name, value):
+    """Each number a metric is rebuilt from follows alpha's rule: an int or
+    a float, not a bool or anything else, and r_list a list of them;
+    otherwise the history file is bad.  A list r or a bool r used to reach
+    the metric, as a TypeError or as the weight 1."""
+    prob, meta, cols = _recorded_table(tmp_path, method)
+    recorded = meta["params"][name]
+    for number in (2, 0.5):
+        meta["params"][name] = [number] * len(recorded) if name == "r_list" else number
+        history_from_table(prob, meta, cols)
+    if name == "r_list":
+        meta["params"][name] = [value] + recorded[1:]
+        with pytest.raises(SchemaError, match="is not a list of numbers"):
+            history_from_table(prob, meta, cols)
+        value = recorded[0]  # one weight, not a list of them
+    meta["params"][name] = value
+    with pytest.raises(SchemaError, match=re.escape(f"history {name}={value!r} is not a ")):  # number, or list of them
+        history_from_table(prob, meta, cols)
+
+
+def test_history_from_table_refuses_a_metric_that_is_not_the_problems_dimension(tmp_path):
+    """alt-split's metric reads blocks 0 and 1 only: its history replayed on
+    the same QP with block 1 cut in two builds a metric over n + m - 2
+    coordinates, a history that does not fit the problem."""
+    prob, meta, cols = _recorded_table(tmp_path, "alt-split")
+    history_from_table(prob, meta, cols)
+    with pytest.raises(SchemaError, match=r"metric of shape \(5, 5\) on this problem, not \(7, 7\)"):
+        history_from_table(support.split_second_block(prob, 1), meta, cols)
+
+
+@pytest.mark.parametrize("schema", ["x", "1", 2, 0, 1.0, True, None, [1]])
+def test_history_from_table_reads_the_schema_key(tmp_path, schema):
+    """A history is read only at the schema 1 that serialize_history writes;
+    another value, or none, is a bad history file."""
+    prob, meta, cols = _recorded_table(tmp_path, "balanced-alm")
+    assert meta["schema"] == 1
+    history_from_table(prob, meta, cols)
+    meta["schema"] = schema
+    with pytest.raises(SchemaError, match=re.escape(f"history schema={schema!r} is not 1")):
+        history_from_table(prob, meta, cols)
+    del meta["schema"]
+    with pytest.raises(SchemaError, match="history schema=None is not 1"):
+        history_from_table(prob, meta, cols)
 
 
 # ---------------------------------------------------------------------------

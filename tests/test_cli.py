@@ -309,3 +309,62 @@ def test_certify_refuses_a_history_with_no_step(qp, tmp_path, capsys, check):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_CONFIG
     assert out == "" and "the history records no step" in err
+
+
+def _edit_meta(src: str, dst: str, edit) -> None:
+    """Copy the history table src to dst with edit applied to its metadata."""
+    with open(src) as fh:
+        first, rest = fh.read().split("\n", 1)
+    meta = json.loads(first[2:])
+    edit(meta)
+    with open(dst, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n" + rest)
+
+
+@pytest.mark.parametrize("name, value", [("r", [1.0]), ("delta", [1.0]), ("r", True)])
+def test_certify_refuses_a_recorded_weight_that_is_not_a_number(qp, tmp_path, capsys, name, value):
+    """A recorded r or delta of [1.0] used to end certify in a TypeError
+    traceback, and an r of true to certify PASS, exit 0, as the weight 1;
+    each is a bad history file, exit 3."""
+    hpath, edited = str(tmp_path / "h.csv"), str(tmp_path / "edited.csv")
+    assert cli.main(["solve", "--problem", qp, "--method", "balanced-alm", "--history", hpath]) == 0
+    certify = ["certify", "--problem", qp, "--check", "contraction,gap", "--history"]
+    assert cli.main(certify + [hpath]) == cli.EXIT_OK
+    _edit_meta(hpath, edited, lambda meta: meta["params"].update({name: value}))
+    capsys.readouterr()
+    code = cli.main(certify + [edited])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and f"history {name}={value!r} is not a number" in err
+
+
+def test_certify_refuses_an_alt_split_history_replayed_on_three_blocks(tmp_path, capsys):
+    """alt-split's history on the two-block QP, replayed on the same QP with
+    block 1 cut in two, builds its metric from blocks 0 and 1 only, over 9
+    of the 10 coordinates: it used to stop in the ledger, exit 2, and is a
+    history that does not fit the problem, exit 3."""
+    two, three, hpath = (str(tmp_path / name) for name in ("two.json", "three.json", "alt.csv"))
+    prob, reference = support.two_block_qp(np.random.default_rng(1), 4, 3, 3)
+    bench.write_problem(two, prob, reference)
+    bench.write_problem(three, support.split_second_block(prob, 2), reference)
+    assert cli.main(["solve", "--problem", two, "--method", "alt-split", "--history", hpath]) == 0
+    certify = ["certify", "--history", hpath, "--check", "contraction", "--problem"]
+    assert cli.main(certify + [two]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(certify + [three])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and "builds a metric of shape (9, 9) on this problem, not (10, 10)" in err
+
+
+@pytest.mark.parametrize("schema", ["x", 2, None])
+def test_certify_refuses_a_history_schema_other_than_one(solved, tmp_path, capsys, schema):
+    """A history whose schema key is edited, or deleted (None), used to
+    certify PASS; only serialize_history's schema 1 is read, else exit 3."""
+    ppath, hpath = solved
+    edited = str(tmp_path / "edited.csv")
+    _edit_meta(hpath, edited, lambda meta: meta.pop("schema") if schema is None else meta.update(schema=schema))
+    code = cli.main(["certify", "--problem", ppath, "--history", edited, "--check", "contraction,gap"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_IO
+    assert out == "" and f"history schema={schema!r} is not 1" in err

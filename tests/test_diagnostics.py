@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from balm import bench
+from balm import bench, diagnostics
 from balm.diagnostics import (
     ContractionCertificate,
     GapCertificate,
@@ -305,6 +306,48 @@ def test_vi_gap_first_draw_probes_keep_the_per_draw_stream_bits(n, m, two_block,
         w = center + (replay.random() ** (1.0 / dim)) * d
         assert probe.x.tobytes() == w[:n].tobytes()
         assert probe.lam.tobytes() == w[n:].tobytes()
+
+
+@pytest.mark.parametrize("probe_count", [0, 1, 31, 32, 33, 65])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 20),
+    two_block=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(0, 3),
+)
+def test_vi_gap_first_draw_probes_keep_the_per_draw_stream_bits_across_blocks(probe_count, n, m, two_block, seed, t):
+    """The 5-probe test above, at probe counts on either side of the block
+    of 32 that a problem with no constrained part draws and shapes as one
+    stack: every probe is still the loop's draw of a direction, then a
+    radius, the certificate is the one of scoring each probe by itself
+    (support.gap_oracle), and the accept test _feasible runs once per probe."""
+    rng = np.random.default_rng(seed)
+    m = min(m, n)
+    if two_block and n >= 2:
+        prob, _ = support.two_block_qp(rng, n // 2, n - n // 2, m)
+    else:
+        prob, _ = support.random_eq_qp(rng, n, m)
+    hist = _history([(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)], np.eye(n + m))
+    calls = []
+    feasible = diagnostics._feasible
+    with mock.patch.object(diagnostics, "_feasible", lambda parts, w: calls.append(1) or feasible(parts, w)):
+        cert = vi_gap(prob, hist, t, probe_count=probe_count, rng_seed=seed)
+    assert len(cert.probe_points) == len(calls) == probe_count
+    assert cert.projected_probes == 0
+
+    center = ergodic_average(hist, t).as_array()
+    dim = center.size
+    replay = np.random.default_rng(seed)
+    for probe in cert.probe_points:
+        d = replay.standard_normal(dim)
+        d /= np.linalg.norm(d)
+        w = center + (replay.random() ** (1.0 / dim)) * d
+        assert probe.x.tobytes() == w[:n].tobytes()
+        assert probe.lam.tobytes() == w[n:].tobytes()
+    oracle = support.gap_oracle(prob, hist, t, probe_count, seed)
+    assert repr((cert.max_lhs, cert.bound)) == repr((oracle.max_lhs, oracle.bound))
 
 
 def _box(rng, k: int) -> Box:

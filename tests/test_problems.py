@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from balm.bench import GENERATOR_KINDS, generate_instance
 from balm.diagnostics import _sample_probe
-from balm.errors import DimensionMismatch, UnsupportedCombination, UnsupportedObjective
+from balm.errors import DimensionMismatch, NoConvergence, UnsupportedCombination, UnsupportedObjective
 from balm.problems import (
     Block,
     KktResidual,
@@ -414,3 +415,78 @@ def test_flatten_refuses_a_coupled_quadratic_beside_an_l1_block():
     blocks = (Block(coupled, WholeSpace(), np.ones((1, 2))), Block(L1(1.0), WholeSpace(), np.ones((1, 1))))
     with pytest.raises(UnsupportedCombination, match="do not merge"):
         flatten_blocks(SeparableProblem(blocks, np.zeros(1), Sense.EQUALITY))
+
+
+# ---------------------------------------------------------------------------
+# a stack of points, one per row, gives each row the bits of its own call
+
+
+def _stack_rows(draw, rng, width: int) -> np.ndarray:
+    """A C-ordered stack of rows of the given width: plain Gaussian rows, rows of
+    signed zeros among them, rows holding a nan or an infinity, and rows
+    whose entries near 1e200 overflow the squares of a norm."""
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["plain", "zeros", "nan", "inf", "huge"]), min_size=1, max_size=6)):
+        row = rng.standard_normal(width)
+        if kind == "zeros":
+            hit = rng.random(width) < 0.6
+            row[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+        elif kind in ("nan", "inf"):
+            row[rng.integers(width)] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+        elif kind == "huge":
+            row *= 1e200
+        rows.append(row)
+    return np.array(rows)
+
+
+@st.composite
+def _residual_stacks(draw):
+    """A problem and a stack of points for it, x and lambda as row slices
+    of one C-ordered table.  The problems: the one-block cases above (every objective kind,
+    whole space, orthant and box, both senses, n = 1 or m = 1), every
+    generator kind (lasso_eq also flattened to its SeparableSum) and the
+    two-block QPs."""
+    source = draw(st.sampled_from(["one-block", "two-block", *GENERATOR_KINDS, "lasso_eq flattened"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if source == "one-block":
+        prob = draw(_one_block_cases())[0]
+    elif source == "two-block":
+        n1, n2, m = (draw(st.integers(1, 4)) for _ in range(3))
+        prob = support.two_block_qp(np.random.default_rng(seed), n1, n2, m)[0]
+    else:
+        m = draw(st.integers(1, 5))
+        try:
+            prob = generate_instance(source.split()[0], (m, draw(st.integers(m, 8))), seed)[0]
+        except NoConvergence:  # the instance's reference LCP (nonneg_qp_ineq 3x3 seed 2), not under test here
+            reject()
+        prob = prob.flat if source.endswith("flattened") else prob
+    w = _stack_rows(draw, np.random.default_rng(seed), prob.n + prob.m)
+    return prob, w[:, : prob.n], w[:, prob.n :]  # row slices of one C-ordered table, as a replay passes them
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_residual_stacks())
+def test_kkt_residual_of_a_stack_equals_each_rows_own_residual_field_for_field(case):
+    """One kkt_residual call on a stack gives one KktResidual per row, each
+    equal to the residual of its row alone: repr compares every field as a
+    Python float, the sign of zero and nan included."""
+    prob, x, lam = case
+    with np.errstate(all="ignore"):
+        stacked = kkt_residual(prob, PrimalDualPoint(x, lam))
+        alone = [kkt_residual(prob, PrimalDualPoint(xi.copy(), li.copy())) for xi, li in zip(x, lam)]
+    assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_one_block_cases(), rows=st.integers(1, 5))
+def test_prox_constrained_of_a_stack_equals_each_rows_own_prox(case, rows):
+    """prox_constrained, and with it prox and project, on a stack of q,
+    one per row, gives each row the bits of its own call, at every weight."""
+    prob, w, seed = case
+    q = np.random.default_rng(seed).standard_normal((rows, prob.n)) * 10.0
+    q[0] = w.x
+    for r in (0.5, 1.0, 3.0):
+        with np.errstate(all="ignore"):
+            stacked = prox_constrained(prob.theta, prob.x_set, r, q)
+            alone = [prox_constrained(prob.theta, prob.x_set, r, row.copy()) for row in q]
+        assert _bits(stacked) == _bits(np.array(alone))
