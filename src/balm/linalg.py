@@ -6,7 +6,8 @@ of vectors, one per row, and give each row the bits of its own product.
 Every Cholesky factor is one call of LAPACK's dpotrf, and SPD solves
 call its triangular solve (dtrtrs) directly, with the arguments
 scipy.linalg.solve_triangular would pass it, so results match that route
-bit for bit without its per-call validation overhead.  The bound on
+bit for bit without its per-call validation overhead; each SpdFactor
+picks those arguments for its two triangles once, when it is built.  The bound on
 ||A^T A|| that the stepsize conditions read calls LAPACK's symmetric
 eigensolver (dsyevd) the same way, and the multiplier module's
 active-set solves take dpotrf and dpotrs from here.
@@ -30,7 +31,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -77,10 +78,35 @@ dpotrf, dpotrs, dsyevd, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsye
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor of an SPD matrix, M = L L^T."""
+    """Lower-triangular Cholesky factor of an SPD matrix, M = L L^T.
+
+    The dtrtrs arguments for L and for L^T are chosen here, once, by
+    _dtrtrs_arguments, so each solve is two LAPACK calls.
+    """
 
     dim: int
     lower: np.ndarray
+    _forward: tuple = field(init=False, repr=False, compare=False)
+    _backward: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_forward", _dtrtrs_arguments(self.lower, True))
+        object.__setattr__(self, "_backward", _dtrtrs_arguments(self.lower.T, False))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M y = rhs for a float vector rhs of length dim, unchecked: L z = rhs
+        then L^T y = z, one dtrtrs call each (a 0 x 0 factor copies rhs)."""
+        if not self.dim:
+            return rhs.copy()
+        a, lower, trans = self._forward
+        z, info = dtrtrs(a, rhs, lower, trans)
+        if info:
+            _dtrtrs_failed(info)
+        a, lower, trans = self._backward
+        y, info = dtrtrs(a, z, lower, trans)
+        if info:
+            _dtrtrs_failed(info)
+        return y
 
 
 def cholesky_factor(m: np.ndarray) -> SpdFactor:
@@ -129,23 +155,22 @@ def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (factor.dim,):
         raise DimensionMismatch(f"rhs has shape {rhs.shape}, factor dim is {factor.dim}")
-    if factor.dim == 0:
-        return rhs.copy()
-    z = _solve_triangular(factor.lower, rhs, lower=True)
-    return _solve_triangular(factor.lower.T, z, lower=False)
+    return factor.solve(rhs)
 
 
-def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """a x = b for triangular a; a C-ordered a is passed transposed."""
+def _dtrtrs_arguments(a: np.ndarray, lower: bool) -> tuple:
+    """(matrix, lower, trans) for dtrtrs to solve a x = b, triangular a,
+    as scipy.linalg.solve_triangular passes them: a Fortran-ordered a as
+    it is, any other a transposed."""
     if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, lower=lower)
-    else:
-        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+        return a, lower, 0
+    return a.T, not lower, 1
+
+
+def _dtrtrs_failed(info: int):
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dtrtrs")
-    return x
+    raise ValueError(f"illegal value in argument {-info} of LAPACK dtrtrs")
 
 
 def gram_norm_bound(a: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, UnsupportedCombination, UnsupportedObjective
-from .linalg import PIVOT_TOL, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
+from .linalg import PIVOT_TOL, SpdFactor, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,12 @@ class Quadratic:
         cholesky_factor(p + 1e-10 * np.eye(p.shape[0]))
         object.__setattr__(self, "_diagonal", not np.any(p - np.diag(np.diag(p))))
 
-    def solve_shifted(self, r: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (P + r I) y = rhs, caching the factor per r."""
+    def shifted_factor(self, r: float) -> SpdFactor:
+        """The Cholesky factor of P + r I, taken once per r."""
         factor = self._factors.get(r)
         if factor is None:
-            factor = cholesky_factor(self.p + r * np.eye(self.p.shape[0]))
-            self._factors[r] = factor
-        return solve_spd(factor, rhs)
+            factor = self._factors[r] = cholesky_factor(self.p + r * np.eye(self.p.shape[0]))
+        return factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,11 +261,12 @@ def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
         return q - theta.c / r
     if isinstance(theta, Quadratic):
         _check_dim(theta.c.shape, q)
-        if q.ndim == 1:
-            return theta.solve_shifted(r, r * q - theta.c)
+        factor = theta.shifted_factor(r)
+        if q.ndim == 1:  # of c's shape, as _check_dim found
+            return factor.solve(r * q - theta.c)
         rhs = r * q - theta.c
         for row in rhs:
-            row[:] = theta.solve_shifted(r, row)
+            row[:] = solve_spd(factor, row)
         return rhs
     if isinstance(theta, SeparableSum):
         _check_dim((len(theta.parts),), q)

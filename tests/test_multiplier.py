@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balm import bench
+from balm import bench, multiplier
 from balm.errors import DimensionMismatch, NoConvergence
-from balm.multiplier import _active_set, build_h0, build_h2, build_hp, solve_equality, solve_lcp
+from balm.linalg import SpdFactor
+from balm.multiplier import MultiplierSystem, _active_set, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from balm.solvers import StopRule, run
 
 import support
@@ -309,3 +312,132 @@ def test_a_run_refuses_a_weight_whose_reciprocal_overflows(method, problem, flag
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^" + re.escape(f"the dual metric overflows at {named}:")):
             run(prob, bench.build_config(method, prob, **flags), StopRule(max_iters=5, kkt_tol=1e-8))
+
+
+@pytest.mark.parametrize(
+    "lam_k, s_k, named",
+    [
+        (np.zeros(30), np.full(30, np.nan), "s_k"),
+        (np.zeros(30), np.r_[np.ones(29), np.inf], "s_k"),
+        (np.r_[np.ones(29), -np.inf], np.ones(30), "lam_k"),
+        (np.r_[np.nan, np.ones(29)], np.full(30, np.nan), "s_k"),
+    ],
+    ids=["s_k-nan", "s_k-inf", "lam_k-inf", "both"],
+)
+def test_solve_lcp_refuses_a_non_finite_input_at_once(monkeypatch, lam_k, s_k, named):
+    """A nan or inf used to run all 10,000 sweeps before NoConvergence."""
+    sys = build_h0(np.random.default_rng(3).standard_normal((30, 60)), 1.0, 0.1)
+    monkeypatch.setattr(multiplier, "_active_set", None)  # never reached
+    with pytest.raises(NoConvergence, match=f"^the LCP solve refuses {named} with a non-finite entry"):
+        solve_lcp(sys, lam_k, s_k)
+
+
+def test_solve_lcp_accepts_a_finite_slack_whose_squares_overflow():
+    sys = build_h0(np.eye(3), 1.0, 0.5)
+    with np.errstate(over="ignore"):  # the certificate's ||s_k|| is inf
+        lam = solve_lcp(sys, np.zeros(3), np.array([1e200, 1.0, 0.0]))
+    assert lam.tobytes() == np.zeros(3).tobytes()
+
+
+def _lcp_chain(h: np.ndarray, lam0: np.ndarray, slacks: list, max_sweeps: int) -> tuple:
+    """A warm-started chain of solve_lcp calls on one system, each lam_k
+    the previous answer (the previous lam_k after a NoConvergence),
+    checked call by call against the same call on a fresh system.
+
+    Returns the number of distinct free sets the shared system kept, the
+    free blocks that would not factor and the calls that the active-set
+    phase did not settle.
+    """
+    m = len(lam0)
+    factor = SpdFactor(dim=m, lower=np.eye(m))  # solve_lcp reads only its dim
+    shared = MultiplierSystem(h=h, factor=factor)
+    kept, give_ups, settled = set(), [], []
+    real_dpotrf, real_active_set = multiplier.dpotrf, multiplier._active_set
+
+    def dpotrf(*args, **kwargs):
+        out = real_dpotrf(*args, **kwargs)
+        give_ups.append(out[1] > 0)
+        return out
+
+    def active_set(*args):
+        out = real_active_set(*args)
+        settled.append(out[0])
+        return out
+
+    def solve(sys, lam_k, s_k):
+        try:
+            return solve_lcp(sys, lam_k, s_k, max_sweeps=max_sweeps)
+        except NoConvergence as exc:
+            return str(exc)
+
+    lam_k, fallbacks = lam0, 0
+    for s_k in slacks:
+        with mock.patch.object(multiplier, "dpotrf", dpotrf), mock.patch.object(multiplier, "_active_set", active_set):
+            out = solve(shared, lam_k, s_k)
+        fallbacks += out is not settled[-1]
+        ref = solve(MultiplierSystem(h=h, factor=factor), lam_k, s_k)
+        assert type(out) is type(ref)
+        assert out == ref if isinstance(out, str) else out.tobytes() == ref.tobytes()
+        assert len(shared.free_factors) <= multiplier.FREE_FACTORS_KEPT == 4
+        assert not any(kept_factor.flags.writeable for kept_factor in shared.free_factors.values())
+        kept |= set(shared.free_factors)
+        lam_k = lam_k if isinstance(out, str) else out
+    return len(kept), sum(give_ups), fallbacks
+
+
+def _chain_case(kind: str, m: int, seed: int, length: int, log_scale: float) -> tuple:
+    """A shifted Gram, or a symmetric matrix with a positive diagonal that
+    is indefinite (some free blocks will not factor), a half-support warm
+    start and length slacks."""
+    rng = np.random.default_rng(seed)
+    if kind == "gram":
+        h = build_h0(rng.standard_normal((m, m + 1)), 1.0, 1e-3).h
+    else:
+        g = rng.standard_normal((m, m))
+        h = 0.5 * (g + g.T) + 1.5 * math.sqrt(m) * np.eye(m)
+    lam0 = np.abs(rng.standard_normal(m)) * (rng.random(m) < 0.5)
+    return h, lam0, [10.0**log_scale * rng.standard_normal(m) for _ in range(length)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(["gram", "indefinite"]),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(2, 12),
+    log_scale=st.floats(-2.0, 2.0),
+)
+def test_a_chain_on_one_system_gives_the_bytes_of_fresh_systems(kind, m, seed, length, log_scale):
+    _lcp_chain(*_chain_case(kind, m, seed, length, log_scale), max_sweeps=60)
+
+
+def test_a_chain_that_evicts_gives_up_and_falls_back_keeps_its_bytes():
+    kept, give_ups, fallbacks = _lcp_chain(*_chain_case("indefinite", 6, 23, 12, 0.0), max_sweeps=60)
+    assert kept > multiplier.FREE_FACTORS_KEPT and give_ups and fallbacks
+
+
+@pytest.mark.parametrize("alpha, distinct", [(1.0, 5), (1.5, 7)])
+def test_a_run_whose_free_blocks_are_evicted_keeps_its_iterates(monkeypatch, alpha, distinct):
+    """nonneg_qp_ineq 30 x 60 factors more distinct free blocks than a
+    system keeps; the digest's 4 x 10 inequality cases never evict."""
+    prob, _ = bench.generate_instance("nonneg_qp_ineq", (30, 60), 1)
+    cfg = bench.build_config("balanced-alm", prob, alpha=alpha)
+    real_dpotrf = multiplier.dpotrf
+
+    def traced(kept: int) -> tuple:
+        blocks = []
+
+        def dpotrf(a, **kwargs):
+            blocks.append(a.tobytes())
+            return real_dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(multiplier, "dpotrf", dpotrf)
+        monkeypatch.setattr(multiplier, "FREE_FACTORS_KEPT", kept)
+        history = run(prob, cfg, StopRule(max_iters=1000, kkt_tol=1e-8))
+        return [w.x.tobytes() + w.lam.tobytes() for w in history.iterates], blocks
+
+    cached, cached_blocks = traced(4)
+    uncached, uncached_blocks = traced(0)
+    assert cached == uncached
+    assert len(set(uncached_blocks)) == len(cached_blocks) == distinct > 4
+    assert len(uncached_blocks) > 2 * len(cached_blocks)

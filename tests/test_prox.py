@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balm.errors import DimensionMismatch, NotPositiveDefinite, UnsupportedCombination, UnsupportedObjective
+from balm.linalg import SpdFactor, cholesky_factor, gram_norm_bound, solve_spd
 from balm.prox import (
     Box,
     L1,
@@ -338,3 +341,53 @@ def test_prox_constrained_over_an_unknown_set_kind():
     coupled = Quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2))
     with pytest.raises(UnsupportedCombination, match="Quadratic over _Ball has no exact rule"):
         prox_constrained(coupled, _Ball(), 1.0, np.ones(2))
+
+
+def _quadratic_case(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    theta = Quadratic(support.random_spd(rng, n), rng.standard_normal(n))
+    # classic-alm's FISTA weight: r ||A||^2 for a coupling matrix A
+    lipschitz = 1.3 * gram_norm_bound(rng.standard_normal((max(n // 2, 1), n)))
+    return theta, lipschitz, rng
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), order=st.sampled_from("CF"))
+def test_quadratic_prox_and_solve_spd_match_the_scipy_route_bit_for_bit(n, seed, k, order):
+    """A 1 x 1 factor is C- and F-contiguous at once, so n = 1 takes the
+    Fortran branch of the dtrtrs arguments for both triangles."""
+    theta, lipschitz, rng = _quadratic_case(n, seed)
+    for r in (1.0, 0.5, lipschitz):
+        factor = cholesky_factor(theta.p + r * np.eye(n))
+        q = rng.standard_normal(n)
+        expected = support.solve_spd_scipy(factor, r * q - theta.c)
+        assert prox(theta, r, q).tobytes() == expected.tobytes()
+        stack = rng.standard_normal((k, n))
+        rows = [support.solve_spd_scipy(factor, r * row - theta.c).tobytes() for row in stack]
+        assert [row.tobytes() for row in prox(theta, r, stack)] == rows
+        ordered = SpdFactor(dim=n, lower=np.asarray(factor.lower, order=order))
+        rhs = rng.standard_normal(n)
+        assert solve_spd(ordered, rhs).tobytes() == support.solve_spd_scipy(ordered, rhs).tobytes()
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_quadratic_prox_refuses_a_bad_weight_by_its_message(r):
+    theta, _, _ = _quadratic_case(3, 1)
+    with pytest.raises(ValueError, match=f"^prox parameter r = {r} must be a finite positive number$"):
+        prox(theta, r, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((4,), "vector shape (4,) does not match objective shape (3,)"),
+        ((2, 4), "vector shape (2, 4) does not match objective shape (3,)"),
+        ((2, 5, 3), "rhs has shape (5, 3), factor dim is 3"),
+    ],
+)
+def test_quadratic_prox_refuses_a_wrong_width_by_its_message(shape, message):
+    theta, _, _ = _quadratic_case(3, 1)
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(message) + "$"):
+        prox(theta, 1.0, np.ones(shape))
+    with pytest.raises(DimensionMismatch, match="^" + re.escape("rhs has shape (4,), factor dim is 3") + "$"):
+        solve_spd(theta.shifted_factor(1.0), np.ones(4))
