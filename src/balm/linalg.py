@@ -7,9 +7,9 @@ Every Cholesky factor is one call of LAPACK's dpotrf, and SPD solves
 call its triangular solve (dtrtrs) directly, with the arguments
 scipy.linalg.solve_triangular would pass it, so results match that route
 bit for bit without its per-call validation overhead; each SpdFactor
-picks those arguments for its two triangles once, when it is built.  The bound on
-||A^T A|| that the stepsize conditions read calls LAPACK's symmetric
-eigensolver (dsyevd) the same way, and the multiplier module's
+picks those arguments for its two triangles once, when it is built.
+The bound on ||A^T A|| that the stepsize conditions read calls LAPACK's
+symmetric eigensolver (dsyevd) the same way, and the multiplier module's
 active-set solves take dpotrf and dpotrs from here.
 
 These four routines are the f2py functions of scipy's LAPACK extension,

@@ -65,7 +65,8 @@ class Quadratic:
         """The Cholesky factor of P + r I, taken once per r."""
         factor = self._factors.get(r)
         if factor is None:
-            factor = self._factors[r] = cholesky_factor(self.p + r * np.eye(self.p.shape[0]))
+            factor = cholesky_factor(self.p + r * np.eye(self.p.shape[0]))
+            self._factors[r] = factor
         return factor
 
 

@@ -351,23 +351,23 @@ def _quadratic_case(n: int, seed: int):
     return theta, lipschitz, rng
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), order=st.sampled_from("CF"))
-def test_quadratic_prox_and_solve_spd_match_the_scipy_route_bit_for_bit(n, seed, k, order):
+@pytest.mark.parametrize("n", range(1, 41))
+def test_quadratic_prox_and_solve_spd_match_the_scipy_route_bit_for_bit(n):
     """A 1 x 1 factor is C- and F-contiguous at once, so n = 1 takes the
     Fortran branch of the dtrtrs arguments for both triangles."""
-    theta, lipschitz, rng = _quadratic_case(n, seed)
+    theta, lipschitz, rng = _quadratic_case(n, n)
     for r in (1.0, 0.5, lipschitz):
         factor = cholesky_factor(theta.p + r * np.eye(n))
         q = rng.standard_normal(n)
         expected = support.solve_spd_scipy(factor, r * q - theta.c)
         assert prox(theta, r, q).tobytes() == expected.tobytes()
-        stack = rng.standard_normal((k, n))
+        stack = rng.standard_normal((1 + n % 4, n))
         rows = [support.solve_spd_scipy(factor, r * row - theta.c).tobytes() for row in stack]
         assert [row.tobytes() for row in prox(theta, r, stack)] == rows
-        ordered = SpdFactor(dim=n, lower=np.asarray(factor.lower, order=order))
-        rhs = rng.standard_normal(n)
-        assert solve_spd(ordered, rhs).tobytes() == support.solve_spd_scipy(ordered, rhs).tobytes()
+        for order in "CF":
+            ordered = SpdFactor(dim=n, lower=np.asarray(factor.lower, order=order))
+            rhs = rng.standard_normal(n)
+            assert solve_spd(ordered, rhs).tobytes() == support.solve_spd_scipy(ordered, rhs).tobytes()
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
