@@ -39,7 +39,7 @@ class MultiplierSystem:
 
     h: np.ndarray
     factor: SpdFactor
-    free_factors: dict = field(default_factory=dict, repr=False, compare=False)
+    free_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -125,8 +125,11 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
     that very factor object, so every lam keeps its bits.  Each factor is
     read-only; the one just used goes to the end of factors, and past
     FREE_FACTORS_KEPT the least recently used is dropped.  A give-up is
-    never kept.  Without factors every block is factored.
+    never kept.  Without factors the call keeps its own, for its steps
+    alone.
     """
+    if factors is None:
+        factors = {}
     c = s_k - h @ lam_k
     m = c.shape[0]
     none_free = bytes(m)
@@ -135,7 +138,7 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
     for step in range(1, max_steps + 1):
         lam = np.zeros(m)
         if key != none_free:
-            factor = factors.pop(key, None) if factors is not None else None
+            factor = factors.pop(key, None)
             info = 0
             if factor is None:
                 factor, info = dpotrf(h[free][:, free], lower=1, clean=0)
@@ -145,10 +148,9 @@ def _active_set(h: np.ndarray, lam_k: np.ndarray, s_k: np.ndarray, max_steps: in
             lam_free, solve_info = dpotrs(factor, -c[free], lower=1)
             if info or solve_info:
                 raise ValueError(f"illegal LAPACK argument (dpotrf info {info}, dpotrs info {solve_info})")
-            if factors is not None:
-                factors[key] = factor  # the most recently used last
-                if len(factors) > FREE_FACTORS_KEPT:
-                    del factors[next(iter(factors))]
+            factors[key] = factor  # the most recently used last
+            if len(factors) > FREE_FACTORS_KEPT:
+                del factors[next(iter(factors))]
             lam[free] = lam_free
         y = h @ lam + c
         free = lam - y > 0.0

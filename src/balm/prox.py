@@ -263,9 +263,9 @@ def prox(theta, r: float, q: np.ndarray) -> np.ndarray:
     if isinstance(theta, Quadratic):
         _check_dim(theta.c.shape, q)
         factor = theta.shifted_factor(r)
-        if q.ndim == 1:  # of c's shape, as _check_dim found
-            return factor.solve(r * q - theta.c)
         rhs = r * q - theta.c
+        if q.ndim == 1:  # of c's shape, as _check_dim found
+            return factor.solve(rhs)
         for row in rhs:
             row[:] = solve_spd(factor, row)
         return rhs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from balm import bench, multiplier
 from balm.errors import DimensionMismatch, NoConvergence
-from balm.linalg import SpdFactor
+from balm.linalg import SpdFactor, cholesky_factor
 from balm.multiplier import MultiplierSystem, _active_set, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from balm.solvers import StopRule, run
 
@@ -414,6 +415,18 @@ def test_a_chain_on_one_system_gives_the_bytes_of_fresh_systems(kind, m, seed, l
 def test_a_chain_that_evicts_gives_up_and_falls_back_keeps_its_bytes():
     kept, give_ups, fallbacks = _lcp_chain(*_chain_case("indefinite", 6, 23, 12, 0.0), max_sweeps=60)
     assert kept > multiplier.FREE_FACTORS_KEPT and give_ups and fallbacks
+
+
+def test_a_system_made_from_another_starts_with_no_kept_factors():
+    rng = np.random.default_rng(3)
+    first = build_h0(rng.standard_normal((5, 9)), 1.0, 1e-3)
+    solve_lcp(first, np.ones(5), rng.standard_normal(5))
+    assert first.free_factors
+    h2 = build_h0(rng.standard_normal((5, 9)), 1.0, 1e-3).h
+    replaced = dataclasses.replace(first, h=h2, factor=cholesky_factor(h2))
+    assert replaced.free_factors == {} and replaced.free_factors is not first.free_factors
+    with pytest.raises(TypeError):
+        MultiplierSystem(h=h2, factor=replaced.factor, free_factors=first.free_factors)
 
 
 @pytest.mark.parametrize("alpha, distinct", [(1.0, 5), (1.5, 7)])
