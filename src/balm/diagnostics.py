@@ -143,28 +143,21 @@ def _draw_probe(prob, center: np.ndarray, n: int, rng, parts=None) -> tuple:
 
     Draws come in batches of _BATCHES, each batch a block of directions,
     then a block of radii, from rng; the probe is the first feasible draw
-    in stream order.  Batch one is a single draw, taken as one vector, so
-    a probe accepted at its first draw uses the stream exactly as a
-    one-draw-at-a-time loop, and a problem with no constrained part
-    accepts it, as _feasible over no part does.  A later batch is shaped
-    as one stack (_onto_ball), and one screen of its constrained columns
-    finds its first feasible row, which _feasible, the accept test, then
-    confirms.  When all _REJECTION_CAP draws fail, the last one is
-    projected onto the feasible set instead (projected = True); the
-    projection cannot leave the ball because the center itself is
+    in stream order.  Every batch, the one-row first included, is shaped
+    as one stack (_onto_ball), whose rows have the bits of shaping each
+    draw as one vector, so a probe uses the stream exactly as a
+    one-draw-at-a-time loop.  One screen of the batch's constrained
+    columns finds its first feasible row (row 0 where there is no
+    constrained part), which _feasible, the accept test, then confirms,
+    once per batch tried.  When all _REJECTION_CAP draws fail, the last
+    one is projected onto the feasible set instead (projected = True);
+    the projection cannot leave the ball because the center itself is
     feasible.  The probe owns its memory, so it does not keep its batch
     alive.
     """
     parts = _constrained_parts(prob, n) if parts is None else parts
-    # batch one, a single draw as one vector: w = center + radius * (direction / norm)
-    w = rng.standard_normal(center.size)
-    w /= math.sqrt(w.dot(w))
-    w *= rng.random() ** (1.0 / center.size)
-    w += center
-    if _feasible(parts, w):
-        return w, False
-    for size in _BATCHES[1:]:
-        # the same for a batch of rows: a block of directions, then a block of radii
+    for size in _BATCHES:
+        # a block of directions, then a block of radii: w = center + radius * (direction / norm)
         w = _onto_ball(rng.standard_normal((size, center.size)), rng.random(size).tolist(), center)
         # the first feasible row, or row 0 when none is
         i = int(np.logical_and.reduce([members(s, w[:, cols]) for s, cols in parts]).argmax())

@@ -56,12 +56,13 @@ class SchemaError(BalmError):
 
 def require_positive(error: type, **values) -> None:
     """Raise error naming the first of values that is not a finite number
-    above zero: nan and +-inf fail like zero and below.  A tuple or list
+    above zero: nan and +-inf fail like zero and below, and so does a
+    value that is not a real number, a bool or a str.  A tuple or list
     value is checked entry by entry, each named name[i]."""
     for name, value in values.items():
         if isinstance(value, (tuple, list)):
             require_positive(error, **{f"{name}[{i}]": v for i, v in enumerate(value)})
-        elif not 0 < value < math.inf:
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
             raise error(f"{name} = {value} must be a finite positive number")
 
 

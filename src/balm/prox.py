@@ -43,9 +43,11 @@ class Quadratic:
 
     p: np.ndarray
     c: np.ndarray
-    # prox factorizations keyed by the prox parameter; dict contents mutate,
-    # the field itself never does.  Races just recompute an equal factor.
-    _factors: dict = field(default_factory=dict, repr=False)
+    # prox factorizations keyed by the prox parameter, filled only by
+    # shifted_factor: each object starts with its own, dataclasses.replace
+    # too.  Dict contents mutate, the field itself never does.  Races just
+    # recompute an equal factor.
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _diagonal: bool = field(init=False, repr=False)  # P has no off-diagonal entry: coordinatewise
 
     def __post_init__(self):

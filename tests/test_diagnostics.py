@@ -458,6 +458,24 @@ def test_gap_sampler_reaches_each_regime(active, regime):
         assert draws == [None] * 20
 
 
+def test_gap_sampler_accepts_a_first_draw_inside_a_box():
+    """A box whose faces all lie farther than 1 from the center holds the
+    whole ball: each probe is its first draw, one batch of one row, and
+    leaves the stream where one direction and one radius leave it."""
+    rng = np.random.default_rng(3)
+    prob = Problem(Quadratic(np.eye(4), np.zeros(4)), Box(np.full(4, -1.5), np.full(4, 2.0)), rng.standard_normal((2, 4)),
+                   np.zeros(2), Sense.INEQUALITY)
+    center = np.array([0.2, -0.3, 0.5, 0.0, 1.5, 2.0])
+    assert _check_probes_against_oracle(prob, center, seed=3, count=10) == [1] * 10
+    lib_rng, stream = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(10):
+        w, projected = _draw_probe(prob, center, 4, lib_rng)
+        stream.standard_normal(6)
+        stream.random()
+        assert projected is False
+        assert lib_rng.bit_generator.state == stream.bit_generator.state
+
+
 def _mixed_case(seed: int, constrained: str, whole_first: bool, sense: Sense, n: int, m: int, active: int):
     """A two-block problem with a whole-space block beside an orthant or a
     box block, in either order, and a feasible center with up to `active`

@@ -87,6 +87,27 @@ def test_require_positive_accepts_finite_positive_values_and_lists():
         require_positive(KeyError, r=1.0, r_list=[1.0, 2.0, -0.0])
 
 
+CONFIG_SCALARS = [(site, name) for site in SITES if site.endswith(("Config", "StopRule")) for name in SITES[site][2]
+                  if name in ("r", "delta", "s", "inner_tol", "kkt_tol")]
+
+
+@pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("site, name", CONFIG_SCALARS, ids=[f"{s}-{n}" for s, n in CONFIG_SCALARS])
+def test_each_config_scalar_refuses_a_value_that_is_not_a_real_number(site, name, bad):
+    """True would run as 1 and be recorded as true, which the history
+    reader refuses; "1" would fail later with a TypeError."""
+    error, build, values = SITES[site]
+    with pytest.raises(ConfigInvalid) as info:
+        build({**values, name: bad})
+    assert str(info.value) == f"{name} = {bad} must be a finite positive number"
+
+
+def test_build_config_refuses_a_bool_weight():
+    prob, _ = bench.generate_instance("random_qp_eq", (4, 10), 1)
+    with pytest.raises(ConfigInvalid, match="^r = True "):
+        bench.build_config("balanced-alm", prob, r=True)
+
+
 def test_the_other_checks_keep_their_order():
     """The empty r_list, build_hp's empty block list after its delta, the
     weight count of a metric before its weights, alpha and the counts."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -85,6 +86,25 @@ def test_prox_factor_cache_reused():
     assert len(theta._factors) == 1
     prox(theta, 3.0, q)
     assert len(theta._factors) == 2
+
+
+def test_a_replaced_quadratic_factors_its_own_p():
+    """dataclasses.replace builds a Quadratic with a cache of its own, so
+    after the original has factored P + r I the copy with another P
+    proxes, one vector or a stack, with the bits of a freshly built one."""
+    original = Quadratic(np.eye(2), np.zeros(2))
+    prox(original, 1.0, np.ones(2))
+    for q in (np.ones(2), np.array([[1.0, 1.0], [3.0, -2.0]])):
+        replaced = dataclasses.replace(original, p=4.0 * np.eye(2))
+        assert replaced._factors == {} and replaced._factors is not original._factors
+        assert prox(replaced, 1.0, q).tobytes() == prox(Quadratic(4.0 * np.eye(2), np.zeros(2)), 1.0, q).tobytes()
+    # P = I's factor would give [0.5, 0.5]
+    assert np.allclose(prox(dataclasses.replace(original, p=4.0 * np.eye(2)), 1.0, np.ones(2)), 0.2, rtol=0.0, atol=1e-15)
+
+
+def test_a_quadratic_takes_no_factor_cache_at_construction():
+    with pytest.raises(TypeError):
+        Quadratic(np.eye(2), np.zeros(2), _factors={})
 
 
 def test_prox_rejects_nonpositive_r():
