@@ -154,15 +154,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SchemaError, OSError) as exc:
+    except (BalmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_IO
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ConfigInvalid, BalmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        if isinstance(exc, (SchemaError, OSError)):
+            return EXIT_BAD_IO
+        return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

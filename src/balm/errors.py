@@ -1,6 +1,7 @@
 """Exception types shared across the library, the one rule every prox
-weight, dual shift and tolerance obeys (require_positive), and the one
-every iteration count obeys (require_count)."""
+weight, dual shift and tolerance obeys (require_positive), the one every
+config scalar obeys (require_real), and the one every iteration count
+obeys (require_count)."""
 
 import math
 import numbers
@@ -52,6 +53,16 @@ class InvalidDims(BalmError):
 
 class SchemaError(BalmError):
     """A problem or history file does not match the expected layout."""
+
+
+def require_real(error: type, **values) -> None:
+    """Raise error, in require_positive's words, naming the first of values
+    that is not one real number: a bool, a str or a list fails.  A config
+    checks each scalar field by it, since require_positive reads a list
+    entry by entry."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} = {value} must be a finite positive number")
 
 
 def require_positive(error: type, **values) -> None:

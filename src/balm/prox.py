@@ -187,7 +187,9 @@ def project(spec, v: np.ndarray) -> np.ndarray:
     if isinstance(spec, Box):
         if v.shape[-1:] != spec.lower.shape:
             raise DimensionMismatch(f"vector shape {v.shape} does not match box bounds")
-        return np.clip(v, spec.lower, spec.upper)
+        # not np.clip: on a stack of one-column rows it can give -0.0 where
+        # the row alone gives +0.0, and each row must get its own call's bits
+        return np.minimum(np.maximum(v, spec.lower), spec.upper)
     raise UnsupportedObjective(f"unknown set spec {type(spec).__name__}")
 
 

@@ -17,8 +17,9 @@ block_gram_norms, a certified upper bound on ||A^T A|| from one
 eigensolve of the smaller Gram matrix, so a stepsize inside the
 forbidden region is rejected.  Every prox weight, dual shift and
 tolerance is a finite positive number (errors.require_positive), every
-stepsize a finite one, and every iteration count an integer of at least
-1 (errors.require_count).
+config scalar one real number, never a bool, str or list
+(errors.require_real), every stepsize a finite one, and every iteration
+count an integer of at least 1 (errors.require_count).
 
 METHODS holds one MethodSpec per method name: its config from the
 shared flags, its checks, dual system, metric, step and recorded
@@ -38,7 +39,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination, require_count, require_positive
+from .errors import ConfigInvalid, DimensionMismatch, InnerNoConvergence, UnsupportedCombination, require_count, require_positive, require_real
 from .linalg import Metric, SpdFactor, blas_matrix, cholesky_factor, dot_rows, matvec_rows, solve_spd
 from .multiplier import MultiplierSystem, build_h0, build_h2, build_hp, solve_equality, solve_lcp
 from .problems import (
@@ -66,6 +67,7 @@ class BalancedAlmConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
+        require_real(ConfigInvalid, r=self.r, delta=self.delta, alpha=self.alpha)
         require_positive(ConfigInvalid, r=self.r, delta=self.delta)
         if not 0.0 < self.alpha < 2.0:
             raise ConfigInvalid("alpha must lie in the open interval (0, 2)")
@@ -83,6 +85,7 @@ class SplitConfig:
         object.__setattr__(self, "r_list", tuple(float(r) for r in self.r_list))
         if not self.r_list:
             raise ConfigInvalid("r_list needs one weight per block")
+        require_real(ConfigInvalid, delta=self.delta)
         require_positive(ConfigInvalid, r_list=self.r_list, delta=self.delta)
 
 
@@ -97,6 +100,7 @@ class AltSplitConfig:
     delta: float
 
     def __post_init__(self):
+        require_real(ConfigInvalid, r=self.r, s=self.s, delta=self.delta)
         require_positive(ConfigInvalid, r=self.r, s=self.s, delta=self.delta)
 
 
@@ -121,6 +125,7 @@ class BaselineConfig:
     def __post_init__(self):
         if not isinstance(self.method, Method):
             raise ConfigInvalid(f"unknown method {self.method!r}")
+        require_real(ConfigInvalid, r=self.r, sigma_or_s=self.sigma_or_s, inner_tol=self.inner_tol)
         require_positive(ConfigInvalid, r=self.r, inner_tol=self.inner_tol)
         require_count(ConfigInvalid, inner_max_iters=self.inner_max_iters)
 
@@ -136,6 +141,7 @@ class StopRule:
 
     def __post_init__(self):
         require_count(ConfigInvalid, max_iters=self.max_iters)
+        require_real(ConfigInvalid, kkt_tol=self.kkt_tol)
         require_positive(ConfigInvalid, kkt_tol=self.kkt_tol)
 
 

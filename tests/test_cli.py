@@ -368,3 +368,71 @@ def test_certify_refuses_a_history_schema_other_than_one(solved, tmp_path, capsy
     out, err = capsys.readouterr()
     assert code == cli.EXIT_BAD_IO
     assert out == "" and f"history schema={schema!r} is not 1" in err
+
+
+@pytest.mark.parametrize("kind", bench.GENERATOR_KINDS)
+def test_a_generated_problem_file_reserializes_byte_for_byte(tmp_path, kind):
+    ppath = str(tmp_path / f"{kind}.json")
+    assert cli.main(["generate", "--kind", kind, "--m", "4", "--n", "10", "--seed", "1", "--out", ppath]) == 0
+    with open(ppath) as fh:
+        assert bench.serialize_problem(*bench.read_problem(ppath)) == fh.read()
+
+
+def test_certify_gap_fails_a_history_whose_last_iterate_has_a_nan(tmp_path, capsys):
+    """45 probes cross the gap check's blocks of 32 and pass; a nan in the
+    last row's x_0 makes every probe's margin nan, and the check fails, exit 1."""
+    ppath, hpath, edited = (str(tmp_path / name) for name in ("lasso.json", "h.csv", "nan.csv"))
+    assert cli.main(["generate", "--kind", "lasso_eq", "--m", "6", "--n", "12", "--seed", "1", "--out", ppath]) == 0
+    assert cli.main(["solve", "--problem", ppath, "--method", "split-balanced", "--history", hpath]) == 0
+    certify = ["certify", "--problem", ppath, "--check", "gap", "--probes", "45", "--history"]
+    capsys.readouterr()
+    assert cli.main(certify + [hpath]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("gap: PASS (t=")
+    with open(hpath) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[-1].split(",")
+    cells[lines[1].split(",").index("x_0")] = "nan"
+    with open(edited, "w") as fh:
+        fh.write("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+    code = cli.main(certify + [edited])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert out.startswith("gap: FAIL (t=") and "probes=45," in out and err == ""
+
+
+@pytest.mark.parametrize(
+    "kind, m, n, flags",
+    [
+        ("random_qp_eq", "4", "10", ["--r", "2"]),
+        ("nonneg_qp_ineq", "30", "60", []),
+        ("nonneg_qp_ineq", "30", "60", ["--alpha", "1.5"]),
+    ],
+    ids=["r-2", "inequality", "inequality-relaxed"],
+)
+def test_certify_contraction_passes_a_replayed_history(tmp_path, capsys, kind, m, n, flags):
+    """Balanced-alm histories that the digest's default cases do not cover
+    replay and pass: a prox weight other than 1, which misses the prox the
+    KKT residual took at weight 1, and the 30 x 60 inequality runs, which
+    meet more LCP free blocks than a system keeps factored (5 unrelaxed,
+    7 relaxed)."""
+    ppath, hpath = str(tmp_path / "p.json"), str(tmp_path / "h.csv")
+    assert cli.main(["generate", "--kind", kind, "--m", m, "--n", n, "--seed", "1", "--out", ppath]) == 0
+    assert cli.main(["solve", "--problem", ppath, "--method", "balanced-alm", "--history", hpath] + flags) == 0
+    capsys.readouterr()
+    code = cli.main(["certify", "--problem", ppath, "--history", hpath, "--check", "contraction"])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("contraction: PASS (iterations=")
+
+
+@pytest.mark.parametrize("method, flag, label", [("primal-dual", "--s", "r*s"), ("lalm", "--sigma", "sigma")])
+def test_solve_refuses_a_stepsize_just_under_the_certified_gram_bound(tmp_path, capsys, method, flag, label):
+    """sigma_max(A)^2 is 599.7975868 on basis_pursuit 60 x 300 seed 1, and
+    the certified gram_norm_bound lies above it, never below: a stepsize
+    just under it breaks the condition, exit 2."""
+    ppath = str(tmp_path / "bp.json")
+    assert cli.main(["generate", "--kind", "basis_pursuit", "--m", "60", "--n", "300", "--seed", "1", "--out", ppath]) == 0
+    capsys.readouterr()
+    code = cli.main(["solve", "--problem", ppath, "--method", method, flag, "599.7973"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == "" and err.startswith(f"error: {label} = 599.7973 must be finite and exceed 599.79")

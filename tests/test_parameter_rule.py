@@ -102,6 +102,61 @@ def test_each_config_scalar_refuses_a_value_that_is_not_a_real_number(site, name
     assert str(info.value) == f"{name} = {bad} must be a finite positive number"
 
 
+SCALAR_FIELDS = [
+    ("BalancedAlmConfig", "r", lambda v: BalancedAlmConfig(v, 0.1)),
+    ("BalancedAlmConfig", "delta", lambda v: BalancedAlmConfig(1.0, v)),
+    ("BalancedAlmConfig", "alpha", lambda v: BalancedAlmConfig(1.0, 0.1, alpha=v)),
+    ("SplitConfig", "delta", lambda v: SplitConfig((1.0, 2.0), v)),
+    ("AltSplitConfig", "r", lambda v: AltSplitConfig(v, 2.0, 0.1)),
+    ("AltSplitConfig", "s", lambda v: AltSplitConfig(1.0, v, 0.1)),
+    ("AltSplitConfig", "delta", lambda v: AltSplitConfig(1.0, 2.0, v)),
+    ("BaselineConfig", "r", lambda v: BaselineConfig(Method.CLASSIC_ALM, v)),
+    ("BaselineConfig", "sigma_or_s", lambda v: BaselineConfig(Method.LALM, 1.0, v)),
+    ("BaselineConfig", "inner_tol", lambda v: BaselineConfig(Method.CLASSIC_ALM, 1.0, inner_tol=v)),
+    ("StopRule", "kkt_tol", lambda v: StopRule(10, v)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1", [1.0]], ids=["bool", "str", "list"])
+@pytest.mark.parametrize("site, name, build", SCALAR_FIELDS, ids=[f"{s}-{n}" for s, n, _ in SCALAR_FIELDS])
+def test_each_config_scalar_is_one_real_number(site, name, bad, build):
+    """A list used to pass require_positive entry by entry and fail in run
+    (r = [1.0] as a dict key), True to run as 1, and an alpha or sigma_or_s
+    of "1" to raise a bare TypeError in run or its checks; each is refused
+    when the config is built, named in require_positive's words."""
+    build(1.5)
+    with pytest.raises(ConfigInvalid) as info:
+        build(bad)
+    assert str(info.value) == f"{name} = {bad} must be a finite positive number"
+
+
+@pytest.mark.parametrize(
+    "method, flags, named",
+    [
+        ("balanced-alm", {"r": [1.0]}, "r = [1.0]"),
+        ("balanced-alm", {"alpha": True}, "alpha = True"),
+        ("balanced-alm", {"alpha": "1"}, "alpha = 1"),
+        ("lalm", {"sigma": "1e9"}, "sigma_or_s = 1e9"),
+    ],
+    ids=["r-list", "alpha-bool", "alpha-str", "sigma-str"],
+)
+def test_build_config_refuses_a_scalar_that_run_would_die_on(method, flags, named):
+    prob, _ = bench.generate_instance("random_qp_eq", (4, 10), 1)
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(named)} must be a finite positive number$"):
+        bench.build_config(method, prob, **flags)
+
+
+def test_a_config_records_its_scalars_with_their_own_types():
+    """The scalar rule reads types and converts nothing: an int weight is
+    recorded as the int, so a history keeps its bytes."""
+    prob, _ = bench.generate_instance("random_qp_eq", (4, 10), 1)
+    params = bench.config_params("balanced-alm", bench.build_config("balanced-alm", prob, r=2, alpha=1))
+    assert params == {"r": 2, "delta": 0.01, "alpha": 1}
+    assert type(params["r"]) is type(params["alpha"]) is int
+    params = bench.config_params("lalm", bench.build_config("lalm", prob, sigma=np.float64(1e9)))
+    assert type(params["sigma_or_s"]) is np.float64
+
+
 def test_build_config_refuses_a_bool_weight():
     prob, _ = bench.generate_instance("random_qp_eq", (4, 10), 1)
     with pytest.raises(ConfigInvalid, match="^r = True "):

@@ -490,3 +490,16 @@ def test_prox_constrained_of_a_stack_equals_each_rows_own_prox(case, rows):
             stacked = prox_constrained(prob.theta, prob.x_set, r, q)
             alone = [prox_constrained(prob.theta, prob.x_set, r, row.copy()) for row in q]
         assert _bits(stacked) == _bits(np.array(alone))
+
+
+@pytest.mark.parametrize("q", [[[0.0], [-5.0]], [[-5.0]]], ids=["two-rows", "one-row"])
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+def test_a_box_projects_a_stack_of_one_column_rows_with_the_bits_of_each_row(q, r):
+    """The box [-0.0, 0.0] clips -5 to +0.0 in a row alone; np.clip used to
+    give -0.0 for that row inside a stack of one-column rows."""
+    box = Box(np.array([-0.0]), np.array([0.0]))
+    q = np.array(q)
+    stacked = prox_constrained(Zero(), box, r, q)
+    alone = np.array([prox_constrained(Zero(), box, r, row.copy()) for row in q])
+    assert stacked.tobytes() == alone.tobytes()
+    assert _bits(stacked) == _bits(np.zeros_like(q))
